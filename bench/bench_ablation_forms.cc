@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "math/gp_condensation.h"
 #include "common/timer.h"
 #include "core/scoring.h"
 #include "graph/source.h"
@@ -87,41 +86,12 @@ int Run() {
                         std::to_string(report->constraints_total)});
   }
 
-  // Condensation (successive GP approximation, cf. paper ref. [35]):
-  // solved outside KgOptimizer since it swaps the proximal notion for the
-  // GP-compatible minimal multiplicative change.
-  {
-    votes::EncoderOptions eo;
-    eo.symbolic.eipd.max_length = 4;
-    eo.symbolic.min_path_mass = 1e-8;
-    eo.is_variable = workload->EntityEdgePredicate();
-    votes::VoteEncoder encoder(&workload->graph, eo);
-    Result<votes::EncodedProgram> program =
-        encoder.EncodeBatch(workload->votes);
-    if (program.ok()) {
-      Timer timer;
-      math::CondensationSgpSolver solver;
-      math::SgpSolution sol = solver.Solve(program->problem);
-      double seconds = timer.ElapsedSeconds();
-      graph::WeightedDigraph optimized = workload->graph;
-      program->variables.ApplyValues(sol.x, &optimized);
-      optimized.NormalizeAllOutWeights();
-      core::OmegaResult omega =
-          core::EvaluateOmega(optimized, workload->votes, eo.symbolic.eipd);
-      table.PrintRow({"condensation (GP/SCA)", "off", FormatDuration(seconds),
-                      bench::Num(omega.average),
-                      std::to_string(sol.satisfied_constraints) + "/" +
-                          std::to_string(sol.total_constraints)});
-    }
-  }
-
   std::printf(
       "\nExpected: deviation and reduced forms reach similar Omega_avg "
       "(same\noptima), reduced is faster (no auxiliary variables, no "
       "augmented\nLagrangian); hard constraints struggle when votes "
       "conflict; the filter\ntrades a little encoding time for discarding "
-      "unsatisfiable votes;\ncondensation (successive GP approximation) "
-      "trades runtime for the\nclassical convex-approximation guarantees.\n");
+      "unsatisfiable votes.\n");
   return 0;
 }
 

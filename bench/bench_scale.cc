@@ -1,13 +1,11 @@
-// Million-node scale sweep: dense vs sparse EIPD kernel.
+// Million-node scale sweep of the frontier-tracked EIPD kernel.
 //
 // Generates streaming scale-free graphs at |V| in {4096, 62586, 1e5, 1e6}
 // (the first two match the toy and Gnutella scales of the existing
 // benches) and measures per-query propagation latency through
-// EipdEngine::Rank under each kernel, plus the degree-ordered CSR layout
-// under the sparse kernel. The headline numbers back the kernel-selection
-// defaults in docs/scale.md: below kSparseKernelMinNodes the dense
-// kernel's O(V) reset is free, past 1e5 nodes it dominates and the
-// frontier-tracked kernel wins by widening margins.
+// EipdEngine::Rank. Per-query cost follows the touched set, not |V|
+// (docs/scale.md), so latency should grow with the frontier's reach
+// rather than with graph size.
 //
 // Flags:
 //   --smoke      reduced sizes/query counts for CI (see tools/ci/check.sh)
@@ -56,18 +54,17 @@ struct SizeResult {
   size_t num_edges = 0;
   double gen_seconds = 0.0;
   size_t queries = 0;
-  LatencyStats dense;
   LatencyStats sparse;
-  LatencyStats degree_ordered_sparse;
-  double sparse_speedup = 0.0;
-  const char* auto_kernel = "dense";
 };
 
-/// One propagation + rank per sample through the given engine.
+/// One propagation + rank per sample through the given engine, after one
+/// untimed query: the workspace's first use allocates and zeroes its
+/// O(|V|) buffers, a one-off cost per serving worker, not per query.
 LatencyStats RunKernel(const ppr::EipdEngine& engine,
                        const std::vector<ppr::QuerySeed>& seeds,
                        const std::vector<graph::NodeId>& candidates) {
   ppr::PropagationWorkspace ws;
+  if (!engine.Rank(seeds.front(), candidates, 10, &ws).ok()) return {};
   std::vector<double> samples_ms;
   samples_ms.reserve(seeds.size());
   for (const ppr::QuerySeed& seed : seeds) {
@@ -118,36 +115,9 @@ StatusOr<SizeResult> RunSize(size_t num_nodes, size_t queries,
         static_cast<graph::NodeId>(rng.NextIndex(num_nodes)));
   }
 
-  graph::CsrSnapshot natural(g);
-  ppr::EipdOptions dense_opts;
-  dense_opts.kernel = ppr::EipdKernel::kDense;
-  ppr::EipdOptions sparse_opts;
-  sparse_opts.kernel = ppr::EipdKernel::kSparse;
-  ppr::EipdEngine dense(natural.View(), dense_opts);
-  ppr::EipdEngine sparse(natural.View(), sparse_opts);
-
-  result.auto_kernel = ppr::EipdKernelName(
-      ppr::EipdEngine(natural.View(), {}).KernelFor(seeds.front()));
-
-  result.dense = RunKernel(dense, seeds, candidates);
-  result.sparse = RunKernel(sparse, seeds, candidates);
-  result.sparse_speedup =
-      result.sparse.mean_ms > 0.0 ? result.dense.mean_ms / result.sparse.mean_ms
-                                  : 0.0;
-
-  // Degree-ordered layout: remap seeds and candidates into row space.
-  graph::CsrSnapshot ordered(
-      g, graph::CsrOptions{.layout = graph::CsrLayout::kDegreeOrdered});
-  std::vector<ppr::QuerySeed> remapped_seeds = seeds;
-  for (ppr::QuerySeed& q : remapped_seeds) {
-    for (auto& [node, weight] : q.links) node = ordered.ToInternal(node);
-  }
-  std::vector<graph::NodeId> remapped_candidates = candidates;
-  for (graph::NodeId& c : remapped_candidates) c = ordered.ToInternal(c);
-  ppr::EipdEngine ordered_sparse(ordered.View(), sparse_opts);
-  result.degree_ordered_sparse =
-      RunKernel(ordered_sparse, remapped_seeds, remapped_candidates);
-
+  graph::CsrSnapshot snapshot(g);
+  result.sparse = RunKernel(ppr::EipdEngine(snapshot.View()), seeds,
+                            candidates);
   return result;
 }
 
@@ -177,22 +147,10 @@ void WriteJson(const std::string& path, const std::vector<SizeResult>& rows,
     std::fprintf(f, "      \"num_edges\": %zu,\n", r.num_edges);
     std::fprintf(f, "      \"gen_seconds\": %.4f,\n", r.gen_seconds);
     std::fprintf(f, "      \"queries\": %zu,\n", r.queries);
-    std::fprintf(f, "      \"auto_kernel\": \"%s\",\n", r.auto_kernel);
-    std::fprintf(f,
-                 "      \"dense\": {\"mean_ms\": %.4f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f},\n",
-                 r.dense.mean_ms, r.dense.p50_ms, r.dense.p99_ms);
     std::fprintf(f,
                  "      \"sparse\": {\"mean_ms\": %.4f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f},\n",
+                 "\"p99_ms\": %.4f}\n",
                  r.sparse.mean_ms, r.sparse.p50_ms, r.sparse.p99_ms);
-    std::fprintf(f,
-                 "      \"degree_ordered_sparse\": {\"mean_ms\": %.4f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f},\n",
-                 r.degree_ordered_sparse.mean_ms,
-                 r.degree_ordered_sparse.p50_ms,
-                 r.degree_ordered_sparse.p99_ms);
-    std::fprintf(f, "      \"sparse_speedup\": %.3f\n", r.sparse_speedup);
     std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -211,7 +169,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  bench::Banner("Scale sweep: dense vs sparse EIPD kernel",
+  bench::Banner("Scale sweep: frontier-tracked EIPD kernel",
                 "million-node serving (docs/scale.md)");
 
   struct SizeSpec {
@@ -225,9 +183,9 @@ int Run(int argc, char** argv) {
     sweep = {{4096, 200}, {62586, 100}, {100000, 100}, {1000000, 30}};
   }
 
-  bench::TablePrinter table({"|V|", "|E|", "gen", "kernel", "mean ms",
-                             "p50 ms", "p99 ms", "speedup"},
-                            {9, 9, 7, 15, 9, 9, 9, 8});
+  bench::TablePrinter table(
+      {"|V|", "|E|", "gen", "mean ms", "p50 ms", "p99 ms"},
+      {9, 9, 7, 9, 9, 9});
   table.PrintHeader();
 
   std::vector<SizeResult> rows;
@@ -241,28 +199,14 @@ int Run(int argc, char** argv) {
     const SizeResult& row = *r;
     table.PrintRow({std::to_string(row.num_nodes),
                     std::to_string(row.num_edges),
-                    bench::Num(row.gen_seconds, 2) + "s", "dense",
-                    bench::Num(row.dense.mean_ms, 3),
-                    bench::Num(row.dense.p50_ms, 3),
-                    bench::Num(row.dense.p99_ms, 3), ""});
-    table.PrintRow({"", "", "", "sparse", bench::Num(row.sparse.mean_ms, 3),
+                    bench::Num(row.gen_seconds, 2) + "s",
+                    bench::Num(row.sparse.mean_ms, 3),
                     bench::Num(row.sparse.p50_ms, 3),
-                    bench::Num(row.sparse.p99_ms, 3),
-                    bench::Num(row.sparse_speedup, 2) + "x"});
-    table.PrintRow({"", "", "", "sparse+degord",
-                    bench::Num(row.degree_ordered_sparse.mean_ms, 3),
-                    bench::Num(row.degree_ordered_sparse.p50_ms, 3),
-                    bench::Num(row.degree_ordered_sparse.p99_ms, 3), ""});
+                    bench::Num(row.sparse.p99_ms, 3)});
     rows.push_back(row);
   }
 
   std::printf("\npeak RSS %.1f MB\n", MaxRssMb());
-  std::printf(
-      "Expected: dense wins (or ties) at 4096 nodes where the O(V) reset\n"
-      "is free; the sparse kernel pulls ahead from ~1e5 nodes and the gap\n"
-      "widens at 1e6, where per-query dense cost is dominated by zeroing\n"
-      "three million-entry arrays.\n");
-
   if (!json_path.empty()) WriteJson(json_path, rows, smoke);
   return 0;
 }

@@ -1,13 +1,11 @@
-// Serving-path throughput: the dense (frozen-op-order) kernel vs the
-// frontier-tracked sparse kernel, both through EipdEngine over a GraphView
-// of a frozen CsrSnapshot, reusing one PropagationWorkspace.
+// Serving-path throughput: the EIPD kernel through EipdEngine over a
+// GraphView of a frozen CsrSnapshot, reusing one PropagationWorkspace.
 //
-// Prints queries/sec for both and writes BENCH_serving.json so CI can
-// track the serving-path trajectory (tools/ci/check.sh runs this from the
-// repo root). At this graph scale (Taobao-size, ~4k nodes) kAuto resolves
-// to the dense kernel; the sparse column here tracks the sparse path's
-// overhead on small graphs - the large-graph crossover is bench_scale's
-// job (BENCH_scale.json).
+// Prints queries/sec and writes BENCH_serving.json so CI can track the
+// serving-path trajectory (tools/ci/check.sh runs this from the repo
+// root). The graph is Taobao-size (~4k nodes), where a length-5 walk
+// reaches most of the graph; large-graph scaling is bench_scale's job
+// (BENCH_scale.json).
 
 #include <benchmark/benchmark.h>
 
@@ -71,10 +69,9 @@ double MeasureQps(const Setup& s, Fn&& fn) {
   return static_cast<double>(kRounds * s.seeds.size()) / seconds;
 }
 
-void BM_DenseKernelServe(benchmark::State& state) {
+void BM_EipdServe(benchmark::State& state) {
   Setup* s = GlobalSetup();
-  ppr::EipdEngine engine(s->snapshot.View(),
-                         {.max_length = 5, .kernel = ppr::EipdKernel::kDense});
+  ppr::EipdEngine engine(s->snapshot.View(), {.max_length = 5});
   ppr::PropagationWorkspace workspace;
   size_t i = 0;
   for (auto _ : state) {
@@ -83,56 +80,29 @@ void BM_DenseKernelServe(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(BM_DenseKernelServe)->Unit(benchmark::kMillisecond);
-
-void BM_SparseKernelServe(benchmark::State& state) {
-  Setup* s = GlobalSetup();
-  ppr::EipdEngine engine(
-      s->snapshot.View(),
-      {.max_length = 5, .kernel = ppr::EipdKernel::kSparse});
-  ppr::PropagationWorkspace workspace;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Rank(
-        s->seeds[i % s->seeds.size()], s->kg.answer_nodes, 20, &workspace));
-    ++i;
-  }
-}
-BENCHMARK(BM_SparseKernelServe)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EipdServe)->Unit(benchmark::kMillisecond);
 
 void RunAndReport(const char* json_path) {
-  bench::Banner("Serving path: dense kernel vs sparse (frontier) kernel",
-                "kgov read-path kernels (docs/scale.md)");
+  bench::Banner("Serving path: EIPD kernel over a CSR snapshot",
+                "kgov read path (docs/scale.md)");
   Setup* s = GlobalSetup();
   std::printf("graph: %zu nodes, %zu edges; %zu seeds x %d rounds; top-20 "
               "over %zu answers\n",
               s->kg.graph.NumNodes(), s->kg.graph.NumEdges(),
               s->seeds.size(), kRounds, s->kg.answer_nodes.size());
 
-  ppr::EipdOptions dense_options;
-  dense_options.max_length = 5;
-  dense_options.kernel = ppr::EipdKernel::kDense;
-  ppr::EipdOptions sparse_options = dense_options;
-  sparse_options.kernel = ppr::EipdKernel::kSparse;
-  ppr::EipdEngine dense(s->snapshot.View(), dense_options);
-  ppr::EipdEngine sparse(s->snapshot.View(), sparse_options);
+  ppr::EipdOptions options;
+  options.max_length = 5;
+  ppr::EipdEngine engine(s->snapshot.View(), options);
   ppr::PropagationWorkspace workspace;
 
-  double dense_qps = MeasureQps(*s, [&](const ppr::QuerySeed& seed) {
-    return dense.Rank(seed, s->kg.answer_nodes, 20, &workspace);
-  });
-  double sparse_qps = MeasureQps(*s, [&](const ppr::QuerySeed& seed) {
-    return sparse.Rank(seed, s->kg.answer_nodes, 20, &workspace);
+  double qps = MeasureQps(*s, [&](const ppr::QuerySeed& seed) {
+    return engine.Rank(seed, s->kg.answer_nodes, 20, &workspace);
   });
 
-  bench::TablePrinter table({"kernel", "queries/sec", "ms/query"},
-                            {28, 12, 10});
+  bench::TablePrinter table({"queries/sec", "ms/query"}, {12, 10});
   table.PrintHeader();
-  table.PrintRow({"dense (frozen op order)", bench::Num(dense_qps, 1),
-                  bench::Num(1e3 / dense_qps, 3)});
-  table.PrintRow({"sparse (frontier-tracked)", bench::Num(sparse_qps, 1),
-                  bench::Num(1e3 / sparse_qps, 3)});
-  std::printf("sparse/dense speedup: %.2fx\n", sparse_qps / dense_qps);
+  table.PrintRow({bench::Num(qps, 1), bench::Num(1e3 / qps, 3)});
 
   std::FILE* out = std::fopen(json_path, "w");
   if (out == nullptr) {
@@ -147,14 +117,12 @@ void RunAndReport(const char* json_path) {
                "  \"queries\": %zu,\n"
                "  \"top_k\": 20,\n"
                "  \"max_length\": %d,\n"
-               "  \"dense_qps\": %.2f,\n"
-               "  \"sparse_qps\": %.2f,\n"
-               "  \"sparse_over_dense\": %.3f\n"
+               "  \"qps\": %.2f,\n"
+               "  \"ms_per_query\": %.4f\n"
                "}\n",
                s->kg.graph.NumNodes(), s->kg.graph.NumEdges(),
                static_cast<size_t>(kRounds) * s->seeds.size(),
-               dense_options.max_length, dense_qps, sparse_qps,
-               sparse_qps / dense_qps);
+               options.max_length, qps, 1e3 / qps);
   std::fclose(out);
   std::printf("wrote %s\n", json_path);
 }

@@ -1,46 +1,16 @@
 #include "graph/csr.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "common/contracts.h"
-
 namespace kgov::graph {
 
-Status CsrOptions::Validate() const { return Status::OK(); }
-
-CsrSnapshot::CsrSnapshot(const WeightedDigraph& graph)
-    : CsrSnapshot(graph, CsrOptions{}) {}
-
-CsrSnapshot::CsrSnapshot(const WeightedDigraph& graph,
-                         const CsrOptions& options) {
-  Status valid = options.Validate();
-  KGOV_CHECK(valid.ok()) << valid.ToString();
+CsrSnapshot::CsrSnapshot(const WeightedDigraph& graph) {
   const size_t n = graph.NumNodes();
-  if (options.layout == CsrLayout::kDegreeOrdered && n > 0) {
-    internal_to_original_.resize(n);
-    std::iota(internal_to_original_.begin(), internal_to_original_.end(),
-              NodeId{0});
-    std::stable_sort(internal_to_original_.begin(),
-                     internal_to_original_.end(),
-                     [&graph](NodeId a, NodeId b) {
-                       return graph.OutDegree(a) > graph.OutDegree(b);
-                     });
-    original_to_internal_.resize(n);
-    for (NodeId row = 0; row < n; ++row) {
-      original_to_internal_[internal_to_original_[row]] = row;
-    }
-  }
-
   offsets_.resize(n + 1, 0);
   neighbors_.reserve(graph.NumEdges());
   edge_ids_.reserve(graph.NumEdges());
-  for (NodeId row = 0; row < n; ++row) {
-    const NodeId v = ToOriginal(row);
-    offsets_[row] = neighbors_.size();
+  for (NodeId v = 0; v < n; ++v) {
+    offsets_[v] = neighbors_.size();
     for (const OutEdge& out : graph.OutEdges(v)) {
-      neighbors_.push_back(
-          Neighbor{ToInternal(out.to), graph.Weight(out.edge)});
+      neighbors_.push_back(Neighbor{out.to, graph.Weight(out.edge)});
       edge_ids_.push_back(out.edge);
     }
   }

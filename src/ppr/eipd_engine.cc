@@ -8,18 +8,6 @@
 
 namespace kgov::ppr {
 
-const char* EipdKernelName(EipdKernel kernel) {
-  switch (kernel) {
-    case EipdKernel::kAuto:
-      return "auto";
-    case EipdKernel::kDense:
-      return "dense";
-    case EipdKernel::kSparse:
-      return "sparse";
-  }
-  return "unknown";
-}
-
 Status EipdOptions::Validate() const {
   if (max_length < 1) {
     return Status::InvalidArgument(
@@ -41,11 +29,6 @@ Status EipdOptions::Validate() const {
 
 PropagationWorkspace& ThreadLocalWorkspace() {
   static thread_local PropagationWorkspace workspace;
-  return workspace;
-}
-
-MultiPropagationWorkspace& ThreadLocalMultiWorkspace() {
-  static thread_local MultiPropagationWorkspace workspace;
   return workspace;
 }
 
@@ -87,12 +70,6 @@ const std::vector<double>& EipdEngine::PropagateInto(
   static telemetry::Counter* const queries =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.queries");
-  static telemetry::Counter* const dense_queries =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.kernel.dense");
-  static telemetry::Counter* const sparse_queries =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.kernel.sparse");
   static telemetry::Counter* const sparse_pruned =
       telemetry::MetricRegistry::Global().GetCounter(
           "serving.eipd.sparse.pruned_nodes");
@@ -104,16 +81,9 @@ const std::vector<double>& EipdEngine::PropagateInto(
     KGOV_CHECK(view_.HasEdgeIds() || view_.NumEdges() == 0);
   }
   if (ws == nullptr) ws = &ThreadLocalWorkspace();
-  if (KernelFor(seed) == EipdKernel::kSparse) {
-    size_t pruned = internal::PropagatePhiSparse(
-        internal::ViewAdjacency{view_}, seed, options_, overrides, ws);
-    sparse_queries->Increment();
-    if (pruned > 0) sparse_pruned->Increment(pruned);
-  } else {
-    internal::PropagatePhi(internal::ViewAdjacency{view_}, seed, options_,
-                           overrides, ws);
-    dense_queries->Increment();
-  }
+  const size_t pruned = internal::PropagatePhi(
+      internal::ViewAdjacency{view_}, seed, options_, overrides, ws);
+  if (pruned > 0) sparse_pruned->Increment(pruned);
   queries->Increment();
   latency->Observe(timer.ElapsedSeconds());
   return ws->phi;
@@ -195,52 +165,6 @@ StatusOr<std::vector<ScoredAnswer>> EipdEngine::RankWithOverrides(
         "weight overrides require a view with an edge-id table");
   }
   return TopKByScore(PropagateInto(seed, &overrides, ws), candidates, k);
-}
-
-StatusOr<std::vector<std::vector<ScoredAnswer>>> EipdEngine::RankMulti(
-    const std::vector<QuerySeed>& seeds,
-    const std::vector<graph::NodeId>& candidates, size_t k,
-    MultiPropagationWorkspace* ws) const {
-  std::vector<std::vector<ScoredAnswer>> results;
-  if (seeds.empty()) return results;
-  std::vector<const QuerySeed*> roots;
-  roots.reserve(seeds.size());
-  for (const QuerySeed& seed : seeds) {
-    KGOV_RETURN_IF_ERROR(ValidateSeed(seed));
-    roots.push_back(&seed);
-  }
-
-  // Telemetry mirrors the single-root path: each lane counts as one
-  // propagation (a lane does the same arithmetic a solo query would), and
-  // the pass itself is counted so dashboards can see the batching ratio.
-  static telemetry::Histogram* const latency =
-      telemetry::MetricRegistry::Global().GetHistogram(
-          "serving.eipd.propagate.seconds");
-  static telemetry::Counter* const queries =
-      telemetry::MetricRegistry::Global().GetCounter("serving.eipd.queries");
-  static telemetry::Counter* const multi_passes =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_passes");
-  static telemetry::Counter* const multi_roots =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_roots");
-  Timer timer;
-  if (ws == nullptr) ws = &ThreadLocalMultiWorkspace();
-  internal::PropagatePhiMulti(internal::ViewAdjacency{view_}, roots,
-                              options_, ws);
-  queries->Increment(roots.size());
-  multi_passes->Increment();
-  multi_roots->Increment(roots.size());
-  latency->Observe(timer.ElapsedSeconds());
-
-  results.reserve(roots.size());
-  for (size_t b = 0; b < roots.size(); ++b) {
-    KGOV_ASSIGN_OR_RETURN(
-        std::vector<ScoredAnswer> ranked,
-        TopKByScore(ws->lanes[b].phi, candidates, k));
-    results.push_back(std::move(ranked));
-  }
-  return results;
 }
 
 }  // namespace kgov::ppr

@@ -2,37 +2,26 @@
 //
 //   Phi(vq, va) = sum over walks z : vq ~> va, |z| <= L of P[z]*c*(1-c)^|z|
 //
-// Two kernels share one set of per-lane primitives, selected through
-// EipdOptions::kernel:
-//
-//  - internal::PropagatePhi (kDense): the level-synchronous reference
-//    kernel. Its floating-point operation sequence is frozen - the
-//    serving-path bitwise gates (single-flight leader reuse, multi-root
-//    lanes, cache hits) compare against it with memcmp.
-//  - internal::PropagatePhiSparse (kSparse): identical per-level push
-//    order, but the O(n) workspace reset is replaced by a lazy reset of
-//    only the entries the previous query touched, and frontier nodes whose
-//    mass has decayed below EipdOptions::sparse_threshold are absorbed but
-//    not expanded. With sparse_threshold == 0 the arithmetic is
-//    bitwise-identical to kDense; with a positive threshold the pruning
-//    error is one-sided and bounded (see docs/scale.md).
-//
-// kAuto (the default) resolves per query via internal::ResolveKernel:
-// dense below kSparseKernelMinNodes or when the seed covers a large
-// fraction of the graph, sparse otherwise - so existing toy-graph
-// workloads keep their bitwise-frozen dense behavior while million-node
-// graphs get O(touched) queries.
+// One kernel, internal::PropagatePhi, evaluates it: a level-synchronous
+// push along the out-edges that tracks the frontier, so the per-query cost
+// is O(visited nodes + traversed edges) rather than O(n). Frontier nodes
+// whose mass has decayed below EipdOptions::sparse_threshold are absorbed
+// but not expanded; the resulting error is one-sided and bounded (see
+// docs/scale.md). With sparse_threshold == 0 the kernel is bitwise
+// identical to the plain level-synchronous loop (tests/eipd_reference.h).
 //
 // PropagationWorkspace keeps the per-query O(n) scratch (`phi`, `mass`,
-// `next` plus the frontiers) alive across queries so steady-state serving
-// does no per-call allocation. Pass one explicitly to reuse it across
-// engines, or pass nullptr to use a per-thread workspace.
+// `next` plus the visited frontiers) alive across queries so steady-state
+// serving does no per-call allocation, and resets only the entries the
+// previous query visited. Pass one explicitly to reuse it across engines,
+// or pass nullptr to use a per-thread workspace.
 
 #ifndef KGOV_PPR_EIPD_ENGINE_H_
 #define KGOV_PPR_EIPD_ENGINE_H_
 
 #include <cstddef>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -45,36 +34,17 @@
 
 namespace kgov::ppr {
 
-/// Which propagation kernel an EipdEngine runs (see the header comment).
-enum class EipdKernel {
-  /// Resolve per query from graph size and seed sparsity
-  /// (internal::ResolveKernel). The default.
-  kAuto,
-  /// The frozen-op-order dense kernel; the bitwise reference.
-  kDense,
-  /// Frontier-tracked kernel with lazy workspace reset and threshold
-  /// pruning. Bitwise-identical to kDense when sparse_threshold == 0.
-  kSparse,
-};
-
-/// Human-readable kernel name ("auto" / "dense" / "sparse").
-const char* EipdKernelName(EipdKernel kernel);
-
 struct EipdOptions {
   /// Maximum walk length L (number of edges, including the query's first
   /// hop). Paper default: 5.
   int max_length = 5;
   /// Restart probability c. Paper default: ~0.15.
   double restart = 0.15;
-  /// Kernel selection. kAuto keeps small graphs on the bitwise-frozen
-  /// dense kernel and routes large, sparsely-seeded graphs to kSparse.
-  EipdKernel kernel = EipdKernel::kAuto;
-  /// kSparse only: a frontier node whose remaining walk mass is below this
-  /// is absorbed into phi but not expanded further. Every pruned score is
-  /// an underestimate of the dense score by at most
+  /// A frontier node whose remaining walk mass is below this is absorbed
+  /// into phi but not expanded further. Every pruned score is an
+  /// underestimate of the exact walk-sum by at most
   /// sparse_threshold * (1 - restart) per pruned (node, level) - see
-  /// docs/scale.md for the ranking-perturbation bound. 0 disables pruning
-  /// (bitwise-dense results through the sparse data path).
+  /// docs/scale.md for the ranking-perturbation bound. 0 disables pruning.
   double sparse_threshold = 1e-12;
 
   /// OK iff the options describe a usable propagation: max_length >= 1,
@@ -84,75 +54,44 @@ struct EipdOptions {
   Status Validate() const;
 };
 
-/// Reusable per-query scratch buffers. Prepare(n) zeroes (and if needed
-/// grows) them; capacity is retained, so repeated queries on graphs of
-/// stable size allocate nothing. Not thread-safe: use one workspace per
+/// Reusable per-query scratch buffers. Reset(n) readies them for a query
+/// on an n-node graph; capacity is retained, so repeated queries on graphs
+/// of stable size allocate nothing. Not thread-safe: use one workspace per
 /// thread (the engines default to a thread_local one).
 struct PropagationWorkspace {
   std::vector<double> phi;
   std::vector<double> mass;
   std::vector<double> next;
-  std::vector<graph::NodeId> frontier;
-  std::vector<graph::NodeId> next_frontier;
-  /// Every node whose phi/mass/next entry may be nonzero, maintained only
-  /// by the sparse kernel (may contain duplicates). Lets PrepareSparse
-  /// reset in O(touched) instead of O(n).
-  std::vector<graph::NodeId> touched;
-  /// True while `touched` covers all possibly-nonzero entries. A dense run
-  /// writes without tracking, so it clears the flag and the next sparse
-  /// run falls back to one full reset.
-  bool sparse_tracked = false;
+  /// Every frontier of the current query, level after level, each in
+  /// discovery order (a node reached at several levels appears once per
+  /// level). The kernel walks each level as a slice of it, and every
+  /// possibly-nonzero phi/mass/next entry belongs to a node listed here.
+  std::vector<graph::NodeId> visited;
 
-  void Prepare(size_t n) {
-    phi.assign(n, 0.0);
-    mass.assign(n, 0.0);
-    next.assign(n, 0.0);
-    frontier.clear();
-    next_frontier.clear();
-    touched.clear();
-    sparse_tracked = false;
-  }
-
-  /// Sparse-kernel reset: zeroes only the entries the previous sparse
-  /// query touched. Falls back to Prepare(n) after a resize or a dense
-  /// run. Steady-state cost is O(previous query's touched set).
-  void PrepareSparse(size_t n) {
-    if (!sparse_tracked || phi.size() != n) {
-      Prepare(n);
+  /// Zeroes the entries the previous query visited. Zeroes all n instead
+  /// after a size change (first use, or a graph of another size), or when
+  /// the previous query visited more than n/16 entries: each scattered
+  /// store dirties a whole cache line, and past that point three
+  /// sequential fills cost less (measured on the 4k-node help-desk graph,
+  /// where a length-5 walk floods most nodes).
+  void Reset(size_t n) {
+    if (phi.size() != n || visited.size() > n / 16) {
+      phi.assign(n, 0.0);
+      mass.assign(n, 0.0);
+      next.assign(n, 0.0);
     } else {
-      for (graph::NodeId v : touched) {
+      for (graph::NodeId v : visited) {
         phi[v] = 0.0;
         mass[v] = 0.0;
         next[v] = 0.0;
       }
-      touched.clear();
-      frontier.clear();
-      next_frontier.clear();
     }
-    sparse_tracked = true;
+    visited.clear();
   }
 };
 
 /// The per-thread default workspace used when callers pass nullptr.
 PropagationWorkspace& ThreadLocalWorkspace();
-
-/// Scratch for a multi-root pass: one PropagationWorkspace lane per root.
-/// Lane capacity is retained across passes (EnsureLanes only grows), so a
-/// serving worker that batches queries steadily allocates nothing.
-struct MultiPropagationWorkspace {
-  std::vector<PropagationWorkspace> lanes;
-  /// Per-lane kernel resolution of the current pass (scratch; sized by
-  /// PropagatePhiMulti).
-  std::vector<EipdKernel> lane_kernels;
-
-  void EnsureLanes(size_t count) {
-    if (lanes.size() < count) lanes.resize(count);
-  }
-};
-
-/// The per-thread default multi-root workspace used when callers pass
-/// nullptr to RankMulti.
-MultiPropagationWorkspace& ThreadLocalMultiWorkspace();
 
 namespace internal {
 
@@ -175,241 +114,75 @@ struct ViewAdjacency {
   }
 };
 
-// --- Per-lane primitives ---------------------------------------------
-// One lane = one seed's propagation state in its own workspace. Both the
-// single-root driver (PropagatePhi) and the multi-root driver
-// (PropagatePhiMulti) are composed of exactly these steps, so a lane's
-// floating-point operation sequence is identical whichever driver runs
-// it: a multi-root result is bitwise-identical, per root, to the
-// single-root propagation of the same seed (tests/test_eipd_multi.cc).
-
-/// Level 1: the query's first hop.
-template <typename Adjacency>
-void SeedLane(const Adjacency& adj, const QuerySeed& seed,
-              PropagationWorkspace* ws) {
-  ws->Prepare(adj.NumNodes());
-  for (const auto& [node, weight] : seed.links) {
-    KGOV_DCHECK(adj.IsValidNode(node));
-    if (weight <= 0.0) continue;
-    if (ws->mass[node] == 0.0) ws->frontier.push_back(node);
-    ws->mass[node] += weight;
-  }
-}
-
-/// Absorbs the current level's mass into phi at the given decay
-/// c*(1-c)^len.
-inline void AbsorbLane(PropagationWorkspace* ws, double decay) {
-  for (graph::NodeId v : ws->frontier) {
-    ws->phi[v] += ws->mass[v] * decay;
-  }
-}
-
-/// Pushes the lane's mass one level along the out-edges.
-template <typename Adjacency>
-void AdvanceLane(const Adjacency& adj,
-                 const std::unordered_map<graph::EdgeId, double>* overrides,
-                 PropagationWorkspace* ws) {
-  std::vector<double>& next = ws->next;
-  ws->next_frontier.clear();
-  for (graph::NodeId u : ws->frontier) {
-    const double m = ws->mass[u];
-    adj.ForEachOut(u, [&](graph::NodeId to, double w, graph::EdgeId e) {
-      if (overrides != nullptr) {
-        auto it = overrides->find(e);
-        if (it != overrides->end()) w = it->second;
-      }
-      if (w <= 0.0) return;
-      if (next[to] == 0.0) ws->next_frontier.push_back(to);
-      next[to] += m * w;
-    });
-    ws->mass[u] = 0.0;
-  }
-  // `next` entries touched twice keep their accumulated value;
-  // next_frontier may contain duplicates only if next[v] was exactly 0
-  // after a prior add, which cannot happen with positive weights. After
-  // the swap the old mass array (all zeroed above) becomes next.
-  ws->mass.swap(ws->next);
-  ws->frontier.swap(ws->next_frontier);
-}
-
 /// THE propagation body: level-synchronous mass propagation (a truncated
 /// power iteration over the walk length), yielding the scores of *all*
 /// nodes in one pass - the property behind the paper's Table VI efficiency
 /// result. Walks longer than L are dropped (SIV-A; L = 5 in the paper's
 /// experiments, justified by Fig. 7). Weights present in `overrides`
-/// (keyed by EdgeId; may be null) replace the adjacency's weights.
-/// Results land in ws->phi.
+/// (keyed by EdgeId; may be null) replace the adjacency's weights. A
+/// frontier node whose remaining mass is below options.sparse_threshold
+/// is absorbed into phi but not expanded (its downstream walks are
+/// dropped). Results land in ws->phi. Returns the total number of pruned
+/// (node, level) pairs.
 template <typename Adjacency>
-void PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
-                  const EipdOptions& options,
-                  const std::unordered_map<graph::EdgeId, double>* overrides,
-                  PropagationWorkspace* ws) {
-  const double c = options.restart;
-  SeedLane(adj, seed, ws);
-  double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
-  for (int len = 1; len <= options.max_length; ++len) {
-    AbsorbLane(ws, decay);
-    if (len == options.max_length) break;
-    AdvanceLane(adj, overrides, ws);
-    decay *= 1.0 - c;
-  }
-}
-
-// --- Sparse (frontier-tracked) lane primitives -----------------------
-// Same per-level iteration and push order as the dense primitives - the
-// only behavioral differences are the lazy workspace reset (PrepareSparse
-// + touched tracking) and the prune_threshold check in the advance step.
-// With prune_threshold == 0 every floating-point operation matches the
-// dense lane exactly, so sparse results are bitwise-identical to dense
-// ones (tests/test_eipd_sparse.cc).
-
-/// Sparse level 1: the query's first hop, with touched tracking.
-template <typename Adjacency>
-void SeedLaneSparse(const Adjacency& adj, const QuerySeed& seed,
+size_t PropagatePhi(const Adjacency& adj, const QuerySeed& seed,
+                    const EipdOptions& options,
+                    const std::unordered_map<graph::EdgeId, double>* overrides,
                     PropagationWorkspace* ws) {
-  ws->PrepareSparse(adj.NumNodes());
+  ws->Reset(adj.NumNodes());
+  std::vector<graph::NodeId>& visited = ws->visited;
+  // Raw pointers, so the compiler need not reload the vectors' data
+  // through `visited.push_back` in the hot loop. Which of the two mass
+  // buffers ends up in ws->mass does not matter: Reset zeroes both at the
+  // visited entries.
+  double* phi = ws->phi.data();
+  double* mass = ws->mass.data();
+  double* next = ws->next.data();
+  // Level 1: the query's first hop.
   for (const auto& [node, weight] : seed.links) {
     KGOV_DCHECK(adj.IsValidNode(node));
     if (weight <= 0.0) continue;
-    if (ws->mass[node] == 0.0) {
-      ws->frontier.push_back(node);
-      ws->touched.push_back(node);
-    }
-    ws->mass[node] += weight;
+    if (mass[node] == 0.0) visited.push_back(node);
+    mass[node] += weight;
   }
-}
-
-/// Sparse advance: pushes mass one level along the out-edges, skipping
-/// frontier nodes whose remaining mass is below `prune_threshold` (their
-/// mass was already absorbed into phi this level; only their downstream
-/// expansion is dropped). Returns the number of pruned frontier nodes.
-template <typename Adjacency>
-size_t AdvanceLaneSparse(
-    const Adjacency& adj,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    double prune_threshold, PropagationWorkspace* ws) {
-  std::vector<double>& next = ws->next;
-  ws->next_frontier.clear();
-  size_t pruned = 0;
-  for (graph::NodeId u : ws->frontier) {
-    const double m = ws->mass[u];
-    ws->mass[u] = 0.0;
-    if (m < prune_threshold) {
-      ++pruned;
-      continue;
-    }
-    adj.ForEachOut(u, [&](graph::NodeId to, double w, graph::EdgeId e) {
-      if (overrides != nullptr) {
-        auto it = overrides->find(e);
-        if (it != overrides->end()) w = it->second;
-      }
-      if (w <= 0.0) return;
-      if (next[to] == 0.0) {
-        ws->next_frontier.push_back(to);
-        ws->touched.push_back(to);
-      }
-      next[to] += m * w;
-    });
-  }
-  // All frontier masses were zeroed above, so after the swap the old mass
-  // array is all-zero and becomes next for the following level.
-  ws->mass.swap(ws->next);
-  ws->frontier.swap(ws->next_frontier);
-  return pruned;
-}
-
-/// The frontier-tracked kernel: same walk-sum as PropagatePhi, but the
-/// per-query cost is O(touched nodes + traversed edges) instead of
-/// O(n + traversed edges) - on a million-node graph with a sparse seed the
-/// dense kernel's three O(n) zeroing sweeps dominate, and this kernel
-/// skips them. Returns the total number of pruned (node, level) pairs.
-template <typename Adjacency>
-size_t PropagatePhiSparse(
-    const Adjacency& adj, const QuerySeed& seed, const EipdOptions& options,
-    const std::unordered_map<graph::EdgeId, double>* overrides,
-    PropagationWorkspace* ws) {
   const double c = options.restart;
-  SeedLaneSparse(adj, seed, ws);
-  double decay = c * (1.0 - c);
+  const double threshold = options.sparse_threshold;
+  double decay = c * (1.0 - c);  // c*(1-c)^len for len = 1
   size_t pruned = 0;
+  size_t begin = 0;  // this level's frontier is visited[begin, end)
   for (int len = 1; len <= options.max_length; ++len) {
-    AbsorbLane(ws, decay);
+    const size_t end = visited.size();
+    for (size_t i = begin; i < end; ++i) {
+      const graph::NodeId v = visited[i];
+      phi[v] += mass[v] * decay;
+    }
     if (len == options.max_length) break;
-    pruned +=
-        AdvanceLaneSparse(adj, overrides, options.sparse_threshold, ws);
+    for (size_t i = begin; i < end; ++i) {
+      // By index: the push_back below may reallocate `visited`.
+      const graph::NodeId u = visited[i];
+      const double m = mass[u];
+      mass[u] = 0.0;
+      if (m < threshold) {
+        ++pruned;
+        continue;
+      }
+      adj.ForEachOut(u, [&](graph::NodeId to, double w, graph::EdgeId e) {
+        if (overrides != nullptr) {
+          auto it = overrides->find(e);
+          if (it != overrides->end()) w = it->second;
+        }
+        if (w <= 0.0) return;
+        if (next[to] == 0.0) visited.push_back(to);
+        next[to] += m * w;
+      });
+    }
+    // Every frontier mass was zeroed above, so the old mass buffer is
+    // all-zero and becomes next for the following level.
+    std::swap(mass, next);
+    begin = end;
     decay *= 1.0 - c;
   }
   return pruned;
-}
-
-// --- Kernel resolution ------------------------------------------------
-
-/// Below this node count kAuto always picks kDense: the O(n) reset is
-/// cheap, and every pre-existing bitwise gate (single-flight, multi-root,
-/// cache) runs on graphs well under this size.
-inline constexpr size_t kSparseKernelMinNodes = 16384;
-/// kAuto picks kDense when seed_links * this >= num_nodes (a seed covering
-/// >= 1/16 of the graph floods most of it by level 2, so frontier
-/// tracking only adds overhead).
-inline constexpr size_t kSparseKernelSeedFactor = 16;
-
-/// Pure dispatch rule behind EipdOptions::kernel == kAuto. Deterministic
-/// in (options, num_nodes, seed_links) so a multi-root lane resolves
-/// exactly as the same seed would solo.
-inline EipdKernel ResolveKernel(const EipdOptions& options, size_t num_nodes,
-                                size_t seed_links) {
-  if (options.kernel != EipdKernel::kAuto) return options.kernel;
-  if (num_nodes < kSparseKernelMinNodes) return EipdKernel::kDense;
-  if (seed_links >= num_nodes / kSparseKernelSeedFactor) {
-    return EipdKernel::kDense;
-  }
-  return EipdKernel::kSparse;
-}
-
-/// The multi-root kernel: B seeds advance level-synchronously through one
-/// pass, lane b in ws->lanes[b]. Because the lanes interleave at level
-/// granularity (every lane absorbs, then every lane advances), the
-/// adjacency rows a level touches are revisited across lanes while still
-/// warm - the locality batched serving rides on - and each lane's
-/// operation sequence is exactly the single-root sequence, so results
-/// are bitwise-identical per root. Each lane resolves its kernel exactly
-/// as the same seed would solo (ResolveKernel is deterministic per seed),
-/// preserving that identity under kAuto and kSparse too. No overrides:
-/// the batched serving path reads the epoch's frozen weights.
-template <typename Adjacency>
-void PropagatePhiMulti(const Adjacency& adj,
-                       const std::vector<const QuerySeed*>& seeds,
-                       const EipdOptions& options,
-                       MultiPropagationWorkspace* ws) {
-  const double c = options.restart;
-  const size_t lanes = seeds.size();
-  ws->EnsureLanes(lanes);
-  ws->lane_kernels.resize(lanes);
-  for (size_t b = 0; b < lanes; ++b) {
-    ws->lane_kernels[b] =
-        ResolveKernel(options, adj.NumNodes(), seeds[b]->links.size());
-    if (ws->lane_kernels[b] == EipdKernel::kSparse) {
-      SeedLaneSparse(adj, *seeds[b], &ws->lanes[b]);
-    } else {
-      SeedLane(adj, *seeds[b], &ws->lanes[b]);
-    }
-  }
-  double decay = c * (1.0 - c);
-  for (int len = 1; len <= options.max_length; ++len) {
-    for (size_t b = 0; b < lanes; ++b) {
-      AbsorbLane(&ws->lanes[b], decay);
-    }
-    if (len == options.max_length) break;
-    for (size_t b = 0; b < lanes; ++b) {
-      if (ws->lane_kernels[b] == EipdKernel::kSparse) {
-        AdvanceLaneSparse(adj, nullptr, options.sparse_threshold,
-                          &ws->lanes[b]);
-      } else {
-        AdvanceLane(adj, nullptr, &ws->lanes[b]);
-      }
-    }
-    decay *= 1.0 - c;
-  }
 }
 
 }  // namespace internal
@@ -420,8 +193,8 @@ void PropagatePhiMulti(const Adjacency& adj,
 /// concurrent calls on one instance are safe as long as each thread uses
 /// its own workspace (the default).
 ///
-/// All entry points (Propagate, Scores, Rank, *WithOverrides, RankMulti)
-/// return StatusOr<T> and reject malformed seeds/candidates with
+/// All entry points (Propagate, Scores, Rank, *WithOverrides) return
+/// StatusOr<T> and reject malformed seeds/candidates with
 /// InvalidArgument instead of asserting; there is no unchecked API. Code
 /// that held a raw phi reference should use the checked Propagate() and
 /// keep the returned vector.
@@ -431,14 +204,6 @@ class EipdEngine {
 
   const EipdOptions& options() const { return options_; }
   const graph::GraphView& view() const { return view_; }
-
-  /// The kernel a propagation of `seed` on this engine resolves to
-  /// (kDense or kSparse, never kAuto). Deterministic; exposed so dispatch
-  /// decisions are testable and observable.
-  EipdKernel KernelFor(const QuerySeed& seed) const {
-    return internal::ResolveKernel(options_, view_.NumNodes(),
-                                   seed.links.size());
-  }
 
   /// OK iff every seed link names a valid node of the view with a finite,
   /// non-negative weight. The error message names the offending link.
@@ -481,22 +246,10 @@ class EipdEngine {
       size_t k, const std::unordered_map<graph::EdgeId, double>& overrides,
       PropagationWorkspace* ws = nullptr) const;
 
-  /// Ranks every seed against `candidates` in ONE multi-root propagation
-  /// pass (internal::PropagatePhiMulti): the seeds advance
-  /// level-synchronously, so adjacency rows shared by related roots are
-  /// revisited while still cache-warm. results[b] is bitwise-identical
-  /// to Rank(seeds[b], ...) - per-lane arithmetic order is preserved.
-  /// The batched serving path folds same-cluster misses through this.
-  StatusOr<std::vector<std::vector<ScoredAnswer>>> RankMulti(
-      const std::vector<QuerySeed>& seeds,
-      const std::vector<graph::NodeId>& candidates, size_t k,
-      MultiPropagationWorkspace* ws = nullptr) const;
-
  private:
   /// The one kernel invocation every entry point funnels through:
-  /// resolves the workspace and the kernel (KernelFor), runs PropagatePhi
-  /// or PropagatePhiSparse, records telemetry, and returns the
-  /// workspace's phi vector.
+  /// resolves the workspace, runs internal::PropagatePhi, records
+  /// telemetry, and returns the workspace's phi vector.
   const std::vector<double>& PropagateInto(
       const QuerySeed& seed,
       const std::unordered_map<graph::EdgeId, double>* overrides,

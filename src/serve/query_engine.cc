@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/contracts.h"
@@ -32,7 +29,6 @@ struct ServeMetrics {
   telemetry::Counter* sf_timeouts;
   telemetry::Counter* errors;
   telemetry::Counter* degraded_queries;
-  telemetry::Counter* batch_groups;
   telemetry::Counter* epoch_refreshes;
   telemetry::Counter* invalidation_selective;
   telemetry::Counter* invalidation_full;
@@ -51,7 +47,6 @@ struct ServeMetrics {
                           reg.GetCounter("serve.singleflight.timeouts"),
                           reg.GetCounter("serve.errors"),
                           reg.GetCounter("serve.degraded_queries"),
-                          reg.GetCounter("serve.batch.groups"),
                           reg.GetCounter("serve.epoch_refreshes"),
                           reg.GetCounter("stream.invalidation.selective"),
                           reg.GetCounter("stream.invalidation.full"),
@@ -88,10 +83,6 @@ Status QueryEngineOptions::Validate() const {
     return Status::InvalidArgument(
         "QueryEngineOptions.single_flight_deadline_seconds must be > 0");
   }
-  if (max_batch_roots < 1) {
-    return Status::InvalidArgument(
-        "QueryEngineOptions.max_batch_roots must be >= 1");
-  }
   KGOV_RETURN_IF_ERROR(admission.Validate());
   return Status::OK();
 }
@@ -123,7 +114,6 @@ QueryEngine::QueryEngine(const core::OnlineKgOptimizer* source,
       cache_(options_.cache_capacity, options_.cache_shards),
       admission_(options_.admission),
       workspaces_(options_.num_threads),
-      multi_workspaces_(options_.num_threads),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {}
 
 QueryEngine::~QueryEngine() = default;
@@ -214,14 +204,6 @@ ppr::PropagationWorkspace* QueryEngine::WorkspaceForThisThread() {
     return &ppr::ThreadLocalWorkspace();
   }
   return &workspaces_[index];
-}
-
-ppr::MultiPropagationWorkspace* QueryEngine::MultiWorkspaceForThisThread() {
-  const size_t index = pool_->CurrentWorkerIndex();
-  if (index == ThreadPool::kNotAWorker) {
-    return &ppr::ThreadLocalMultiWorkspace();
-  }
-  return &multi_workspaces_[index];
 }
 
 ppr::EipdOptions QueryEngine::EffectiveEipd(bool degraded) const {
@@ -369,318 +351,54 @@ StatusOr<RankedAnswers> QueryEngine::ServeOne(const ppr::QuerySeed& seed) {
   return result;
 }
 
-std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> QueryEngine::ServeGroup(
-    const std::vector<ppr::QuerySeed>& seeds,
-    const std::vector<size_t>& indices) {
-  MaybeRefreshEpoch();
-  core::ServingEpoch epoch;
-  {
-    ReaderMutexLock lock(epoch_mu_);
-    epoch = pinned_;
-  }
-  KGOV_DCHECK_OK(ValidateEpochPin(epoch));
-
-  const ServeMetrics& metrics = ServeMetrics::Get();
-  const bool degraded = admission_.degraded();
-  ppr::EipdEngine engine(epoch.view(), EffectiveEipd(degraded));
-
-  std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> out;
-  out.reserve(indices.size());
-
-  auto base_result = [&]() {
-    RankedAnswers r;
-    r.epoch = epoch.epoch;
-    r.degraded = degraded;
-    return r;
-  };
-  auto count_degraded = [&]() {
-    if (degraded) {
-      degraded_served_.fetch_add(1, std::memory_order_relaxed);
-      metrics.degraded_queries->Increment();
-    }
-  };
-
-  // One propagation lane this task leads: the leading query, its flight
-  // obligation (null when single-flight is off), and any in-batch
-  // duplicates coalesced onto it.
-  struct Led {
-    size_t index;
-    std::string cache_key;
-    std::unique_ptr<SingleFlightGroup::LeaderToken> token;
-    std::vector<size_t> coalesced;
-  };
-  struct Waiting {
-    size_t index;
-    SingleFlightGroup::JoinOutcome join;
-  };
-  std::vector<Led> led;
-  std::vector<Waiting> waiting;
-  std::unordered_map<std::string, size_t> local;  // flight key -> led slot
-
-  // Phase 1 (never blocks): cache probes, validation, flight
-  // registration. Foreign flights are only recorded, not waited on.
-  for (size_t index : indices) {
-    const ppr::QuerySeed& seed = seeds[index];
-    RankedAnswers result = base_result();
-    std::string key = EncodeCacheKey(seed);
-    if (options_.enable_cache &&
-        cache_.Get(key, epoch.epoch, &result.answers)) {
-      result.from_cache = true;
-      result.degraded = false;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.cache_hits->Increment();
-      out.emplace_back(index, std::move(result));
-      continue;
-    }
-    Status valid = engine.ValidateSeed(seed);
-    if (!valid.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics.errors->Increment();
-      out.emplace_back(index, std::move(valid));
-      continue;
-    }
-    if (!options_.enable_single_flight) {
-      led.push_back(Led{index, std::move(key), nullptr, {}});
-      continue;
-    }
-    std::string flight_key = EncodeFlightKey(key, epoch.epoch, degraded);
-    auto it = local.find(flight_key);
-    if (it != local.end()) {
-      // In-batch duplicate of a lane we already lead.
-      led[it->second].coalesced.push_back(index);
-      continue;
-    }
-    SingleFlightGroup::JoinOutcome join = flights_.JoinOrLead(flight_key);
-    if (join.token == nullptr) {
-      waiting.push_back(Waiting{index, std::move(join)});
-      continue;
-    }
-    // Leader re-probe (same reasoning as ServeOne).
-    if (options_.enable_cache &&
-        cache_.Get(key, epoch.epoch, &result.answers)) {
-      join.token->Complete(Status::OK(), result.answers);
-      result.from_cache = true;
-      result.degraded = false;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.cache_hits->Increment();
-      out.emplace_back(index, std::move(result));
-      continue;
-    }
-    local.emplace(std::move(flight_key), led.size());
-    led.push_back(Led{index, std::move(key), std::move(join.token), {}});
-  }
-
-  // Phase 2: ONE multi-root propagation over every lane this task leads,
-  // then resolve our own flights. This MUST precede any foreign Wait
-  // (the deadlock discipline in single_flight.h).
-  if (!led.empty()) {
-    std::vector<ppr::QuerySeed> roots;
-    roots.reserve(led.size());
-    for (const Led& l : led) roots.push_back(seeds[l.index]);
-    metrics.batch_groups->Increment();
-    StatusOr<std::vector<std::vector<ppr::ScoredAnswer>>> multi =
-        engine.RankMulti(roots, *candidates_, options_.top_k,
-                         MultiWorkspaceForThisThread());
-    if (!multi.ok()) {
-      for (Led& l : led) {
-        if (l.token != nullptr) l.token->Complete(multi.status(), {});
-        out.emplace_back(l.index, multi.status());
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        for (size_t dup : l.coalesced) {
-          out.emplace_back(dup, multi.status());
-          errors_.fetch_add(1, std::memory_order_relaxed);
-          metrics.errors->Increment();
-        }
-      }
-    } else {
-      std::vector<std::vector<ppr::ScoredAnswer>> lanes =
-          std::move(multi).value();
-      for (size_t b = 0; b < led.size(); ++b) {
-        Led& l = led[b];
-        RankedAnswers result = base_result();
-        result.answers = std::move(lanes[b]);
-        if (options_.enable_cache && !degraded) {
-          if (cache_.Put(l.cache_key, result.answers,
-                         DependencyClusters(epoch.view(), seeds[l.index]),
-                         epoch.epoch)) {
-            metrics.cache_evictions->Increment();
-          }
-        }
-        if (l.token != nullptr) {
-          l.token->Complete(Status::OK(), result.answers);
-          leaders_.fetch_add(1, std::memory_order_relaxed);
-          metrics.sf_leaders->Increment();
-        }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.enable_cache) metrics.cache_misses->Increment();
-        count_degraded();
-        for (size_t dup : l.coalesced) {
-          RankedAnswers copy = result;
-          copy.coalesced = true;
-          followers_.fetch_add(1, std::memory_order_relaxed);
-          metrics.sf_followers->Increment();
-          count_degraded();
-          out.emplace_back(dup, std::move(copy));
-        }
-        out.emplace_back(l.index, std::move(result));
-      }
-    }
-  }
-
-  // Phase 3: wait on foreign flights. Every flight this task led is
-  // already resolved, so these waits can never participate in a cycle.
-  for (Waiting& w : waiting) {
-    SingleFlightGroup::WaitResult wait =
-        SingleFlightGroup::Wait(w.join.flight, FollowerDeadline());
-    if (wait.published) {
-      if (!wait.status.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.errors->Increment();
-        out.emplace_back(w.index, std::move(wait.status));
-        continue;
-      }
-      RankedAnswers result = base_result();
-      result.answers = std::move(wait.answers);
-      result.coalesced = true;
-      followers_.fetch_add(1, std::memory_order_relaxed);
-      metrics.sf_followers->Increment();
-      count_degraded();
-      out.emplace_back(w.index, std::move(result));
-      continue;
-    }
-    // Deadline expired: detach and propagate solo.
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    metrics.sf_timeouts->Increment();
-    const ppr::QuerySeed& seed = seeds[w.index];
-    RankedAnswers result = base_result();
-    StatusOr<std::vector<ppr::ScoredAnswer>> ranked = engine.Rank(
-        seed, *candidates_, options_.top_k, WorkspaceForThisThread());
-    if (!ranked.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      metrics.errors->Increment();
-      out.emplace_back(w.index, ranked.status());
-      continue;
-    }
-    result.answers = std::move(ranked).value();
-    if (options_.enable_cache && !degraded) {
-      if (cache_.Put(EncodeCacheKey(seed), result.answers,
-                     DependencyClusters(epoch.view(), seed), epoch.epoch)) {
-        metrics.cache_evictions->Increment();
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.enable_cache) metrics.cache_misses->Increment();
-    count_degraded();
-    out.emplace_back(w.index, std::move(result));
-  }
-  return out;
-}
-
-std::vector<std::vector<size_t>> QueryEngine::GroupForBatch(
-    const std::vector<ppr::QuerySeed>& seeds,
-    const std::vector<size_t>& admitted) const {
-  std::vector<std::vector<size_t>> groups;
-  if (!options_.enable_batching || options_.max_batch_roots <= 1 ||
-      admitted.size() <= 1) {
-    groups.reserve(admitted.size());
-    for (size_t index : admitted) groups.push_back({index});
-    return groups;
-  }
-  // Bucket by the cluster of the seed's first link node: queries rooted
-  // in the same cluster start their frontiers in the same region, so one
-  // multi-root pass walks shared structure. Seeds with no links serve
-  // solo (they have no root cluster).
-  std::unordered_map<uint32_t, std::vector<size_t>> buckets;
-  std::vector<uint32_t> order;  // deterministic group order
-  for (size_t index : admitted) {
-    const ppr::QuerySeed& seed = seeds[index];
-    if (seed.links.empty()) {
-      groups.push_back({index});
-      continue;
-    }
-    const uint32_t cluster = partition_->ClusterOf(seed.links.front().first);
-    auto [it, inserted] = buckets.try_emplace(cluster);
-    if (inserted) order.push_back(cluster);
-    it->second.push_back(index);
-  }
-  for (uint32_t cluster : order) {
-    const std::vector<size_t>& members = buckets[cluster];
-    for (size_t begin = 0; begin < members.size();
-         begin += options_.max_batch_roots) {
-      const size_t end =
-          std::min(members.size(), begin + options_.max_batch_roots);
-      groups.emplace_back(members.begin() + static_cast<ptrdiff_t>(begin),
-                          members.begin() + static_cast<ptrdiff_t>(end));
-    }
-  }
-  return groups;
+std::future<StatusOr<RankedAnswers>> QueryEngine::Enqueue(
+    const ppr::QuerySeed& seed) {
+  Timer enqueue_timer;
+  return pool_->Submit([this, &seed, enqueue_timer]() {
+    StatusOr<RankedAnswers> served = ServeOne(seed);
+    // End-to-end latency: queue wait + propagation (or cache hit),
+    // observed at completion so gather order cannot inflate it.
+    const double elapsed = enqueue_timer.ElapsedSeconds();
+    ServeMetrics::Get().query_span->Observe(elapsed);
+    admission_.Finish(elapsed);
+    return served;
+  });
 }
 
 StatusOr<RankedAnswers> QueryEngine::Submit(const ppr::QuerySeed& seed) {
-  std::vector<StatusOr<RankedAnswers>> results = SubmitBatch({seed});
-  return std::move(results.front());
+  ServeMetrics::Get().queries->Increment();
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  // A shed query is answered immediately with kResourceExhausted and never
+  // enqueued (the controller counts it; its slot was never taken, so no
+  // Finish).
+  KGOV_RETURN_IF_ERROR(admission_.TryAdmit());
+  return Enqueue(seed).get();
 }
 
 std::vector<StatusOr<RankedAnswers>> QueryEngine::SubmitBatch(
     const std::vector<ppr::QuerySeed>& seeds) {
-  const ServeMetrics& metrics = ServeMetrics::Get();
   const size_t n = seeds.size();
-  metrics.queries->Increment(n);
+  ServeMetrics::Get().queries->Increment(n);
   queries_.fetch_add(n, std::memory_order_relaxed);
 
-  std::vector<std::optional<StatusOr<RankedAnswers>>> slots(n);
-
-  // Admission: one window slot per query. A shed query is answered
-  // immediately with kResourceExhausted and never enqueued (the
-  // controller counts it; its slot was never taken, so no Finish).
-  std::vector<size_t> admitted;
-  admitted.reserve(n);
+  // Admission: one window slot per query, all taken before anything is
+  // enqueued so shed counts are deterministic within one call. Shed
+  // queries keep their kResourceExhausted status and get no future.
+  std::vector<Status> admitted(n);
+  for (size_t i = 0; i < n; ++i) admitted[i] = admission_.TryAdmit();
+  std::vector<std::future<StatusOr<RankedAnswers>>> futures(n);
   for (size_t i = 0; i < n; ++i) {
-    Status admit = admission_.TryAdmit();
-    if (admit.ok()) {
-      admitted.push_back(i);
-    } else {
-      slots[i].emplace(std::move(admit));
-    }
-  }
-
-  using GroupResult = std::vector<std::pair<size_t, StatusOr<RankedAnswers>>>;
-  std::vector<std::vector<size_t>> groups = GroupForBatch(seeds, admitted);
-  std::vector<std::future<GroupResult>> futures;
-  futures.reserve(groups.size());
-  for (std::vector<size_t>& group : groups) {
-    Timer enqueue_timer;
-    futures.push_back(pool_->Submit(
-        [this, &seeds, group = std::move(group), enqueue_timer, &metrics]() {
-          GroupResult served;
-          if (group.size() == 1) {
-            served.emplace_back(group.front(), ServeOne(seeds[group.front()]));
-          } else {
-            served = ServeGroup(seeds, group);
-          }
-          // End-to-end latency: queue wait + propagation (or cache hit),
-          // observed at completion so gather order cannot inflate it.
-          // Each admitted query releases its admission slot here.
-          const double elapsed = enqueue_timer.ElapsedSeconds();
-          for (size_t i = 0; i < served.size(); ++i) {
-            metrics.query_span->Observe(elapsed);
-            admission_.Finish(elapsed);
-          }
-          return served;
-        }));
-  }
-  for (std::future<GroupResult>& future : futures) {
-    for (auto& [index, result] : future.get()) {
-      slots[index].emplace(std::move(result));
-    }
+    if (admitted[i].ok()) futures[i] = Enqueue(seeds[i]);
   }
 
   std::vector<StatusOr<RankedAnswers>> results;
   results.reserve(n);
-  for (std::optional<StatusOr<RankedAnswers>>& slot : slots) {
-    KGOV_CHECK(slot.has_value());
-    results.push_back(std::move(*slot));
+  for (size_t i = 0; i < n; ++i) {
+    if (futures[i].valid()) {
+      results.push_back(futures[i].get());
+    } else {
+      results.push_back(std::move(admitted[i]));
+    }
   }
   return results;
 }

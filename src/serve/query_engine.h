@@ -24,11 +24,6 @@
 //    bitwise-identical result (serve/single_flight.h). The flight key
 //    embeds the pinned epoch and the degraded bit, so a follower is
 //    never handed a result computed under a different pin or depth.
-//  * Queries that share a partition cluster inside one SubmitBatch window
-//    fold into a single multi-root propagation pass
-//    (ppr::EipdEngine::RankMulti), amortizing the level-synchronous
-//    frontier walk across roots while keeping each lane's result bitwise
-//    identical to a solo propagation.
 //  * An AdmissionController bounds the admitted-and-unfinished window:
 //    beyond capacity, Submit sheds immediately with kResourceExhausted
 //    (never parks the caller), and under a sustained latency-SLO breach
@@ -42,10 +37,10 @@
 // Telemetry (kgov_telemetry registry): serve.queries, serve.cache.hits /
 // .misses / .evictions / .invalidations, serve.singleflight.leaders /
 // .followers / .timeouts, serve.admission.shed / .degraded (gauge),
-// serve.degraded_queries, serve.errors, serve.batch.groups,
-// serve.epoch_refreshes, serve.queue_depth (gauge, published atomically
-// via Gauge::Add from the admission window), span.serve.query.seconds
-// (end-to-end latency histogram), stream.invalidation.selective / .full.
+// serve.degraded_queries, serve.errors, serve.epoch_refreshes,
+// serve.queue_depth (gauge, published atomically via Gauge::Add from the
+// admission window), span.serve.query.seconds (end-to-end latency
+// histogram), stream.invalidation.selective / .full.
 // serve.cache.misses counts PROPAGATIONS the engine ran (leaders,
 // follower-timeout fallbacks, single-flight-off misses) - collapsed
 // followers are counted in serve.singleflight.followers instead, so
@@ -57,8 +52,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -104,12 +99,6 @@ struct QueryEngineOptions {
   /// propagating for itself. A backstop, not a latency target - it only
   /// fires if a leader stalls for a full propagation's worth of time.
   double single_flight_deadline_seconds = 5.0;
-  /// Fold same-cluster queries within one SubmitBatch call into
-  /// multi-root propagation passes.
-  bool enable_batching = true;
-  /// Max roots folded into one multi-root pass (bounds per-task latency
-  /// and workspace footprint).
-  size_t max_batch_roots = 8;
   /// Admission window + load-shedding + SLO degradation settings.
   AdmissionOptions admission;
 
@@ -127,7 +116,7 @@ struct RankedAnswers {
   /// True when the ranking came out of the result cache.
   bool from_cache = false;
   /// True when the ranking was coalesced off another query's propagation
-  /// (single-flight follower or in-batch duplicate).
+  /// (a single-flight follower).
   bool coalesced = false;
   /// True when the ranking was computed at the admission controller's
   /// degraded max_length instead of the configured depth. Degraded
@@ -186,9 +175,10 @@ class QueryEngine {
   /// queueing) when the admission window is full.
   StatusOr<RankedAnswers> Submit(const ppr::QuerySeed& seed);
 
-  /// Serves a batch: admitted queries are grouped by partition cluster
-  /// (when batching is enabled), enqueued up front (saturating the
-  /// pool), then gathered in order. results[i] corresponds to seeds[i].
+  /// Serves a batch: every admitted query is enqueued up front as its own
+  /// pool task (saturating the pool), then gathered in order. results[i]
+  /// corresponds to seeds[i]. In-batch duplicates collapse through the
+  /// cache and single-flight like any concurrent queries.
   std::vector<StatusOr<RankedAnswers>> SubmitBatch(
       const std::vector<ppr::QuerySeed>& seeds);
 
@@ -232,20 +222,10 @@ class QueryEngine {
   StatusOr<RankedAnswers> ServeOne(const ppr::QuerySeed& seed)
       KGOV_EXCLUDES(epoch_mu_);
 
-  /// The worker-side body of one same-cluster group: per-seed cache
-  /// probes, local + cross-task single-flight coalescing, then ONE
-  /// multi-root propagation pass over the keys this task leads. Returns
-  /// (index-into-seeds, result) pairs covering exactly `indices`.
-  std::vector<std::pair<size_t, StatusOr<RankedAnswers>>> ServeGroup(
-      const std::vector<ppr::QuerySeed>& seeds,
-      const std::vector<size_t>& indices) KGOV_EXCLUDES(epoch_mu_);
-
-  /// Splits the admitted indices into per-task groups: singleton groups
-  /// when batching is off, else same-cluster runs capped at
-  /// max_batch_roots (cluster of the seed's first link node).
-  std::vector<std::vector<size_t>> GroupForBatch(
-      const std::vector<ppr::QuerySeed>& seeds,
-      const std::vector<size_t>& admitted) const;
+  /// Runs ServeOne for one admitted query on the pool; the task records
+  /// the end-to-end latency and releases the admission slot. `seed` must
+  /// stay alive until the future is ready.
+  std::future<StatusOr<RankedAnswers>> Enqueue(const ppr::QuerySeed& seed);
 
   /// The propagation settings for this query: the configured eipd, with
   /// max_length clamped to the admission controller's degraded depth
@@ -257,7 +237,6 @@ class QueryEngine {
   /// This worker's reusable workspace (falls back to the thread-local
   /// workspace for non-pool callers).
   ppr::PropagationWorkspace* WorkspaceForThisThread();
-  ppr::MultiPropagationWorkspace* MultiWorkspaceForThisThread();
 
   const core::OnlineKgOptimizer* source_;
   const std::vector<graph::NodeId>* candidates_;
@@ -275,7 +254,6 @@ class QueryEngine {
   SingleFlightGroup flights_;
   AdmissionController admission_;
   std::vector<ppr::PropagationWorkspace> workspaces_;
-  std::vector<ppr::MultiPropagationWorkspace> multi_workspaces_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> hits_{0};

@@ -19,12 +19,10 @@
 // Deadlock freedom: JoinOrLead never blocks - it either hands back a
 // LeaderToken (the obligation to compute) or a follower handle to Wait
 // on later. The discipline is: a task resolves every flight it LEADS
-// before it WAITS on any flight it follows. Single queries lead at most
-// one flight and never wait while holding it; batched group tasks
-// register all their leaderships, run one multi-root pass, Complete
-// every led flight, and only then Wait on foreign flights. A waiting
-// task therefore never holds an unresolved obligation, so no cycle of
-// tasks can wait on each other. Leadership is also only ever taken by a
+// before it WAITS on any flight it follows. Each QueryEngine task serves
+// one query, so it leads at most one flight and never waits while
+// holding it. A waiting task therefore never holds an unresolved
+// obligation, so no cycle of tasks can wait on each other. Leadership is also only ever taken by a
 // task that is ALREADY running (decided inside the worker body, not at
 // enqueue time), so followers wait on in-progress computations, never on
 // a task stuck behind them in the pool's FIFO. The follower deadline is

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
-#include "ppr/eipd_engine.h"
-#include "ppr/query_seed.h"
 
 namespace kgov::graph {
 namespace {
@@ -151,120 +147,6 @@ TEST(CsrTest, NeighborRangesPartitionEdges) {
               g->OutDegree(v));
   }
   EXPECT_EQ(total, g->NumEdges());
-}
-
-TEST(CsrLayoutTest, NaturalLayoutIsNotReorderedAndMapsAreIdentity) {
-  Rng rng(8);
-  Result<WeightedDigraph> g = ErdosRenyi(20, 80, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g, CsrOptions{.layout = CsrLayout::kNatural});
-  EXPECT_FALSE(snap.IsReordered());
-  for (NodeId v = 0; v < 20; ++v) {
-    EXPECT_EQ(snap.ToInternal(v), v);
-    EXPECT_EQ(snap.ToOriginal(v), v);
-  }
-}
-
-TEST(CsrLayoutTest, DegreeOrderedRowsDescendByDegreeTiesByOriginalId) {
-  Rng rng(9);
-  Result<WeightedDigraph> g = BarabasiAlbert(300, 3, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g, CsrOptions{.layout = CsrLayout::kDegreeOrdered});
-  ASSERT_TRUE(snap.IsReordered());
-  ASSERT_EQ(snap.NumNodes(), g->NumNodes());
-  for (NodeId row = 0; row + 1 < snap.NumNodes(); ++row) {
-    const size_t d0 = snap.OutDegree(row);
-    const size_t d1 = snap.OutDegree(row + 1);
-    EXPECT_GE(d0, d1) << "row " << row;
-    if (d0 == d1) {
-      // stable_sort keeps equal-degree rows in original-id order.
-      EXPECT_LT(snap.ToOriginal(row), snap.ToOriginal(row + 1));
-    }
-  }
-}
-
-TEST(CsrLayoutTest, IdMapsRoundTripAndRowsMatchOriginalAdjacency) {
-  Rng rng(10);
-  Result<WeightedDigraph> g = ErdosRenyi(50, 300, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g, CsrOptions{.layout = CsrLayout::kDegreeOrdered});
-  for (NodeId v = 0; v < 50; ++v) {
-    EXPECT_EQ(snap.ToOriginal(snap.ToInternal(v)), v);
-    EXPECT_EQ(snap.ToInternal(snap.ToOriginal(v)), v);
-  }
-  // Row ToInternal(v) holds v's out-edges: same multiset of
-  // (original target, weight), with targets living in internal id space.
-  for (NodeId v = 0; v < 50; ++v) {
-    const NodeId row = snap.ToInternal(v);
-    ASSERT_EQ(snap.OutDegree(row), g->OutDegree(v));
-    std::multiset<std::pair<NodeId, double>> expected, actual;
-    for (const OutEdge& out : g->OutEdges(v)) {
-      expected.insert({out.to, g->Weight(out.edge)});
-    }
-    for (const CsrSnapshot::Neighbor* it = snap.begin(row);
-         it != snap.end(row); ++it) {
-      actual.insert({snap.ToOriginal(it->to), it->weight});
-    }
-    EXPECT_EQ(expected, actual) << "node " << v;
-  }
-}
-
-TEST(CsrLayoutTest, DegreeOrderedKeepsOriginalEdgeIds) {
-  WeightedDigraph g(4);
-  EdgeId e01 = *g.AddEdge(0, 1, 0.2);
-  EdgeId e02 = *g.AddEdge(0, 2, 0.3);
-  EdgeId e03 = *g.AddEdge(0, 3, 0.5);
-  EdgeId e12 = *g.AddEdge(1, 2, 1.0);
-  CsrSnapshot snap(g, CsrOptions{.layout = CsrLayout::kDegreeOrdered});
-  GraphView view = snap.View();
-  ASSERT_TRUE(view.HasEdgeIds());
-  // Node 0 (degree 3) sorts to row 0; its edge-id slots keep the
-  // WeightedDigraph ids so EdgeId-keyed overrides work unchanged.
-  ASSERT_EQ(snap.ToInternal(0), 0u);
-  EXPECT_EQ(view.edge_ids(0)[0], e01);
-  EXPECT_EQ(view.edge_ids(0)[1], e02);
-  EXPECT_EQ(view.edge_ids(0)[2], e03);
-  EXPECT_EQ(view.edge_ids(snap.ToInternal(1))[0], e12);
-}
-
-TEST(CsrLayoutTest, PropagationEquivalentUnderRemap) {
-  // Serving through a degree-ordered snapshot must give the same scores
-  // as the natural layout once seeds and answers are translated - equal
-  // up to floating-point reassociation (the documented non-bitwise
-  // caveat), hence EXPECT_NEAR.
-  Rng rng(11);
-  Result<WeightedDigraph> g = BarabasiAlbert(150, 3, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot natural(*g);
-  CsrSnapshot ordered(*g, CsrOptions{.layout = CsrLayout::kDegreeOrdered});
-
-  ppr::EipdEngine on_natural(natural.View());
-  ppr::EipdEngine on_ordered(ordered.View());
-
-  for (NodeId v : {0, 7, 42, 99}) {
-    ppr::QuerySeed seed = ppr::QuerySeed::FromNode(*g, v);
-    if (seed.empty()) continue;
-    ppr::QuerySeed remapped = seed;
-    for (auto& [node, weight] : remapped.links) {
-      node = ordered.ToInternal(node);
-    }
-    StatusOr<std::vector<double>> a = on_natural.Propagate(seed);
-    StatusOr<std::vector<double>> b = on_ordered.Propagate(remapped);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    ASSERT_EQ(a->size(), b->size());
-    for (NodeId target = 0; target < g->NumNodes(); ++target) {
-      EXPECT_NEAR((*a)[target], (*b)[ordered.ToInternal(target)], 1e-12)
-          << "seed " << v << " target " << target;
-    }
-  }
-}
-
-TEST(CsrLayoutTest, EmptyGraphDegreeOrderedIsValid) {
-  CsrSnapshot snap(WeightedDigraph{},
-                   CsrOptions{.layout = CsrLayout::kDegreeOrdered});
-  EXPECT_EQ(snap.NumNodes(), 0u);
-  EXPECT_FALSE(snap.IsReordered());
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
-// The frontier-tracked sparse EIPD kernel (internal::PropagatePhiSparse)
-// and the kernel-selection layer around it.
+// The frontier-tracked EIPD kernel (internal::PropagatePhi) and its
+// lazily reset workspace.
 //
 // Load-bearing contracts, in order of importance:
-//   1. With sparse_threshold == 0 the sparse kernel is BITWISE identical
-//      to the frozen dense kernel (memcmp over the full phi vector) - the
-//      sparse data path may then sit behind every existing bitwise gate.
+//   1. With sparse_threshold == 0 the kernel is BITWISE identical to the
+//      test-only reference loop (eipd_reference.h; memcmp over the full
+//      phi vector), with and without weight overrides.
 //   2. With a positive threshold the error is one-sided (pruning only
 //      drops non-negative contributions) and bounded by
 //      pruned * threshold, so top-k rankings agree whenever score gaps
 //      exceed the bound.
-//   3. kAuto dispatch (internal::ResolveKernel / EipdEngine::KernelFor)
-//      is deterministic in (options, num_nodes, seed_links), so a
-//      multi-root lane resolves exactly as the same seed would solo.
+//   3. Reusing a workspace (lazy reset of the visited entries, or a full
+//      reset after a size change or a flooding query) never leaks state
+//      from the previous query.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@
 #include "graph/graph.h"
 #include "ppr/eipd_engine.h"
 #include "ppr/query_seed.h"
-#include "telemetry/metrics.h"
+#include "eipd_reference.h"
 
 namespace kgov::ppr {
 namespace {
@@ -48,25 +48,20 @@ TEST_P(SparseBitwiseIdentity, ZeroThresholdMatchesDenseBitwise) {
   CsrSnapshot snap(*g);
 
   for (int length : {1, 3, 5}) {
-    EipdOptions dense_opts;
-    dense_opts.max_length = length;
-    dense_opts.kernel = EipdKernel::kDense;
-    EipdOptions sparse_opts = dense_opts;
-    sparse_opts.kernel = EipdKernel::kSparse;
-    sparse_opts.sparse_threshold = 0.0;
+    EipdOptions options;
+    options.max_length = length;
+    options.sparse_threshold = 0.0;
 
-    EipdEngine dense(snap.View(), dense_opts);
-    EipdEngine sparse(snap.View(), sparse_opts);
+    EipdEngine engine(snap.View(), options);
     for (graph::NodeId v = 0; v < 200; v += 37) {
       QuerySeed seed = QuerySeed::FromNode(*g, v);
       if (seed.empty()) continue;
-      StatusOr<std::vector<double>> d = dense.Propagate(seed);
-      StatusOr<std::vector<double>> s = sparse.Propagate(seed);
-      ASSERT_TRUE(d.ok()) << d.status();
+      StatusOr<std::vector<double>> s = engine.Propagate(seed);
       ASSERT_TRUE(s.ok()) << s.status();
-      EXPECT_TRUE(BitwiseEqualVectors(*d, *s))
+      EXPECT_TRUE(
+          BitwiseEqualVectors(ReferencePhi(snap.View(), seed, options), *s))
           << "seed " << v << " length " << length
-          << ": sparse phi diverged from dense";
+          << ": kernel phi diverged from the reference loop";
     }
   }
 }
@@ -81,7 +76,7 @@ TEST(SparseKernelTest, ZeroThresholdMatchesDenseWithOverrides) {
   CsrSnapshot snap(*g);
 
   // Override a handful of edge weights (including one zeroed edge, which
-  // both kernels must skip identically).
+  // the kernel and the reference must skip identically).
   std::unordered_map<graph::EdgeId, double> overrides;
   graph::GraphView view = snap.View();
   const graph::EdgeId* ids = view.edge_ids(0);
@@ -96,18 +91,15 @@ TEST(SparseKernelTest, ZeroThresholdMatchesDenseWithOverrides) {
   }
   ASSERT_FALSE(overrides.empty());
 
-  EipdEngine dense(snap.View(), {.kernel = EipdKernel::kDense});
-  EipdEngine sparse(snap.View(),
-                    {.kernel = EipdKernel::kSparse, .sparse_threshold = 0.0});
+  const EipdOptions options{.sparse_threshold = 0.0};
+  EipdEngine engine(snap.View(), options);
   QuerySeed seed = QuerySeed::FromNode(*g, 0);
   if (seed.empty()) GTEST_SKIP();
-  StatusOr<std::vector<double>> d =
-      dense.PropagateWithOverrides(seed, overrides);
   StatusOr<std::vector<double>> s =
-      sparse.PropagateWithOverrides(seed, overrides);
-  ASSERT_TRUE(d.ok()) << d.status();
+      engine.PropagateWithOverrides(seed, overrides);
   ASSERT_TRUE(s.ok()) << s.status();
-  EXPECT_TRUE(BitwiseEqualVectors(*d, *s));
+  EXPECT_TRUE(BitwiseEqualVectors(
+      ReferencePhi(snap.View(), seed, options, &overrides), *s));
 }
 
 TEST(SparseKernelTest, InternalKernelReportsZeroPrunedAtZeroThreshold) {
@@ -122,7 +114,7 @@ TEST(SparseKernelTest, InternalKernelReportsZeroPrunedAtZeroThreshold) {
   if (seed.empty()) GTEST_SKIP();
 
   PropagationWorkspace ws;
-  size_t pruned = internal::PropagatePhiSparse(
+  size_t pruned = internal::PropagatePhi(
       internal::ViewAdjacency{snap.View()}, seed, options, nullptr, &ws);
   EXPECT_EQ(pruned, 0u);
 }
@@ -136,12 +128,7 @@ TEST(SparseKernelTest, PruningErrorIsOneSidedAndBounded) {
   CsrSnapshot snap(*g);
 
   const double threshold = 1e-4;  // aggressive: forces real pruning
-  EipdOptions dense_opts;
-  dense_opts.kernel = EipdKernel::kDense;
-  EipdEngine dense(snap.View(), dense_opts);
-
   EipdOptions sparse_opts;
-  sparse_opts.kernel = EipdKernel::kSparse;
   sparse_opts.sparse_threshold = threshold;
 
   size_t total_pruned = 0;
@@ -149,11 +136,11 @@ TEST(SparseKernelTest, PruningErrorIsOneSidedAndBounded) {
     QuerySeed seed = QuerySeed::FromNode(*g, v);
     if (seed.empty()) continue;
 
-    StatusOr<std::vector<double>> exact = dense.Propagate(seed);
-    ASSERT_TRUE(exact.ok());
+    const std::vector<double> exact =
+        ReferencePhi(snap.View(), seed, sparse_opts);
 
     PropagationWorkspace ws;
-    size_t pruned = internal::PropagatePhiSparse(
+    size_t pruned = internal::PropagatePhi(
         internal::ViewAdjacency{snap.View()}, seed, sparse_opts, nullptr,
         &ws);
     total_pruned += pruned;
@@ -164,10 +151,10 @@ TEST(SparseKernelTest, PruningErrorIsOneSidedAndBounded) {
     // loose-but-safe pruned * threshold.
     const double bound =
         static_cast<double>(pruned) * threshold + 1e-12;
-    for (size_t i = 0; i < exact->size(); ++i) {
-      EXPECT_LE(ws.phi[i], (*exact)[i] + 1e-12)
+    for (size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_LE(ws.phi[i], exact[i] + 1e-12)
           << "pruning must only underestimate (node " << i << ")";
-      EXPECT_LE((*exact)[i] - ws.phi[i], bound)
+      EXPECT_LE(exact[i] - ws.phi[i], bound)
           << "pruning error exceeded the documented bound (node " << i
           << ")";
     }
@@ -186,104 +173,22 @@ TEST(SparseKernelTest, TopKAgreesWithDenseAtModerateThreshold) {
   std::vector<graph::NodeId> candidates;
   for (graph::NodeId v = 0; v < 300; v += 7) candidates.push_back(v);
 
-  EipdEngine dense(snap.View(), {.kernel = EipdKernel::kDense});
-  EipdEngine sparse(snap.View(), {.kernel = EipdKernel::kSparse,
-                                  .sparse_threshold = 1e-12});
+  EipdEngine exact(snap.View(), {.sparse_threshold = 0.0});
+  EipdEngine sparse(snap.View(), {.sparse_threshold = 1e-12});
 
   for (graph::NodeId v : {2, 29, 61, 107}) {
     QuerySeed seed = QuerySeed::FromNode(*g, v);
     if (seed.empty()) continue;
-    StatusOr<std::vector<ScoredAnswer>> d = dense.Rank(seed, candidates, 10);
+    StatusOr<std::vector<ScoredAnswer>> e = exact.Rank(seed, candidates, 10);
     StatusOr<std::vector<ScoredAnswer>> s = sparse.Rank(seed, candidates, 10);
-    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE(e.ok());
     ASSERT_TRUE(s.ok());
-    ASSERT_EQ(d->size(), s->size());
-    for (size_t i = 0; i < d->size(); ++i) {
-      EXPECT_EQ((*d)[i].node, (*s)[i].node) << "rank " << i;
-      EXPECT_NEAR((*d)[i].score, (*s)[i].score, 1e-9) << "rank " << i;
+    ASSERT_EQ(e->size(), s->size());
+    for (size_t i = 0; i < e->size(); ++i) {
+      EXPECT_EQ((*e)[i].node, (*s)[i].node) << "rank " << i;
+      EXPECT_NEAR((*e)[i].score, (*s)[i].score, 1e-9) << "rank " << i;
     }
   }
-}
-
-// --- Contract 3: kAuto dispatch ---------------------------------------
-
-TEST(KernelResolutionTest, ExplicitKernelsAreNeverOverridden) {
-  EipdOptions dense;
-  dense.kernel = EipdKernel::kDense;
-  EipdOptions sparse;
-  sparse.kernel = EipdKernel::kSparse;
-  // Explicit choices win regardless of size and seed sparsity.
-  EXPECT_EQ(internal::ResolveKernel(dense, 10'000'000, 1),
-            EipdKernel::kDense);
-  EXPECT_EQ(internal::ResolveKernel(sparse, 10, 9), EipdKernel::kSparse);
-}
-
-TEST(KernelResolutionTest, AutoPicksDenseBelowMinNodes) {
-  EipdOptions auto_opts;
-  EXPECT_EQ(internal::ResolveKernel(auto_opts,
-                                    internal::kSparseKernelMinNodes - 1, 1),
-            EipdKernel::kDense);
-  EXPECT_EQ(
-      internal::ResolveKernel(auto_opts, internal::kSparseKernelMinNodes, 1),
-      EipdKernel::kSparse);
-}
-
-TEST(KernelResolutionTest, AutoPicksDenseForFloodingSeeds) {
-  EipdOptions auto_opts;
-  const size_t n = 1u << 20;
-  const size_t flood = n / internal::kSparseKernelSeedFactor;
-  EXPECT_EQ(internal::ResolveKernel(auto_opts, n, flood),
-            EipdKernel::kDense);
-  EXPECT_EQ(internal::ResolveKernel(auto_opts, n, flood - 1),
-            EipdKernel::kSparse);
-}
-
-TEST(KernelResolutionTest, EngineKernelForMatchesResolveKernel) {
-  Rng rng(47);
-  Result<WeightedDigraph> g = graph::ErdosRenyi(50, 250, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-
-  QuerySeed seed = QuerySeed::FromNode(*g, 0);
-  if (seed.empty()) GTEST_SKIP();
-
-  EipdEngine auto_engine(snap.View(), {.kernel = EipdKernel::kAuto});
-  // 50 nodes < kSparseKernelMinNodes: kAuto resolves dense.
-  EXPECT_EQ(auto_engine.KernelFor(seed), EipdKernel::kDense);
-
-  EipdEngine sparse_engine(snap.View(), {.kernel = EipdKernel::kSparse});
-  EXPECT_EQ(sparse_engine.KernelFor(seed), EipdKernel::kSparse);
-}
-
-TEST(KernelResolutionTest, KernelTelemetryCountsDispatch) {
-  Rng rng(49);
-  Result<WeightedDigraph> g = graph::ErdosRenyi(40, 200, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-  QuerySeed seed = QuerySeed::FromNode(*g, 0);
-  if (seed.empty()) GTEST_SKIP();
-
-  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Global();
-  const uint64_t dense_before =
-      reg.GetCounter("serving.eipd.kernel.dense")->Value();
-  const uint64_t sparse_before =
-      reg.GetCounter("serving.eipd.kernel.sparse")->Value();
-
-  EipdEngine dense(snap.View(), {.kernel = EipdKernel::kDense});
-  EipdEngine sparse(snap.View(), {.kernel = EipdKernel::kSparse});
-  ASSERT_TRUE(dense.Propagate(seed).ok());
-  ASSERT_TRUE(sparse.Propagate(seed).ok());
-
-  EXPECT_EQ(reg.GetCounter("serving.eipd.kernel.dense")->Value(),
-            dense_before + 1);
-  EXPECT_EQ(reg.GetCounter("serving.eipd.kernel.sparse")->Value(),
-            sparse_before + 1);
-}
-
-TEST(KernelResolutionTest, KernelNamesAreStable) {
-  EXPECT_STREQ(EipdKernelName(EipdKernel::kAuto), "auto");
-  EXPECT_STREQ(EipdKernelName(EipdKernel::kDense), "dense");
-  EXPECT_STREQ(EipdKernelName(EipdKernel::kSparse), "sparse");
 }
 
 TEST(KernelResolutionTest, OptionsValidateRejectsBadThreshold) {
@@ -294,127 +199,45 @@ TEST(KernelResolutionTest, OptionsValidateRejectsBadThreshold) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-// --- Multi-root lanes under the sparse kernel --------------------------
-
-TEST(SparseMultiRootTest, SparseLanesBitwiseMatchSoloSparse) {
-  Rng rng(53);
-  Result<WeightedDigraph> g = graph::ScaleFreeWithTargetEdges(100, 450, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-
-  EipdOptions options;
-  options.kernel = EipdKernel::kSparse;  // force sparse on a small graph
-  options.max_length = 4;
-
-  std::vector<QuerySeed> seeds;
-  for (graph::NodeId v : {3, 17, 42}) {
-    QuerySeed seed = QuerySeed::FromNode(*g, v);
-    if (!seed.empty()) seeds.push_back(std::move(seed));
-  }
-  if (seeds.empty()) GTEST_SKIP();
-
-  std::vector<const QuerySeed*> roots;
-  for (const QuerySeed& seed : seeds) roots.push_back(&seed);
-  MultiPropagationWorkspace multi_ws;
-  internal::PropagatePhiMulti(internal::ViewAdjacency{snap.View()}, roots,
-                              options, &multi_ws);
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    EXPECT_EQ(multi_ws.lane_kernels[b], EipdKernel::kSparse);
-  }
-
-  PropagationWorkspace solo_ws;
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    internal::PropagatePhiSparse(internal::ViewAdjacency{snap.View()},
-                                 seeds[b], options, nullptr, &solo_ws);
-    ASSERT_EQ(solo_ws.phi.size(), multi_ws.lanes[b].phi.size());
-    EXPECT_EQ(std::memcmp(solo_ws.phi.data(), multi_ws.lanes[b].phi.data(),
-                          solo_ws.phi.size() * sizeof(double)),
-              0)
-        << "sparse lane " << b << " diverged from solo sparse propagation";
-  }
-}
-
-TEST(SparseMultiRootTest, RankMultiMatchesRankUnderSparseKernel) {
-  Rng rng(59);
-  Result<WeightedDigraph> g = graph::ErdosRenyi(60, 320, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-
-  EipdEngine engine(snap.View(), {.kernel = EipdKernel::kSparse});
-  std::vector<graph::NodeId> candidates{1, 5, 9, 13, 22, 31, 44};
-
-  std::vector<QuerySeed> seeds;
-  for (graph::NodeId v = 0; v < 60 && seeds.size() < 3; v += 11) {
-    QuerySeed seed = QuerySeed::FromNode(*g, v);
-    if (!seed.empty()) seeds.push_back(std::move(seed));
-  }
-  if (seeds.empty()) GTEST_SKIP();
-
-  StatusOr<std::vector<std::vector<ScoredAnswer>>> multi =
-      engine.RankMulti(seeds, candidates, 5);
-  ASSERT_TRUE(multi.ok()) << multi.status();
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    StatusOr<std::vector<ScoredAnswer>> solo =
-        engine.Rank(seeds[b], candidates, 5);
-    ASSERT_TRUE(solo.ok());
-    ASSERT_EQ(solo->size(), (*multi)[b].size());
-    for (size_t i = 0; i < solo->size(); ++i) {
-      EXPECT_EQ((*solo)[i].node, (*multi)[b][i].node);
-      double a = (*solo)[i].score;
-      double bscore = (*multi)[b][i].score;
-      EXPECT_EQ(std::memcmp(&a, &bscore, sizeof(double)), 0)
-          << "lane " << b << " rank " << i;
-    }
-  }
-}
-
-// --- Workspace reuse / lazy-reset correctness --------------------------
+// --- Contract 3: workspace reuse / lazy-reset correctness ---------------
 
 TEST(SparseWorkspaceTest, ConsecutiveSparseQueriesLazyResetCorrectly) {
+  // A dense graph, where walks flood it and Reset refills everything, and
+  // a sparse one, where walks stay local and Reset zeroes only the
+  // visited entries. Both branches must leave no stale state.
   Rng rng(61);
-  Result<WeightedDigraph> g = graph::ScaleFreeWithTargetEdges(150, 700, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-  EipdEngine engine(snap.View(), {.kernel = EipdKernel::kSparse});
-
-  PropagationWorkspace shared;
-  for (graph::NodeId v = 0; v < 150; v += 13) {
-    QuerySeed seed = QuerySeed::FromNode(*g, v);
-    if (seed.empty()) continue;
-    StatusOr<std::vector<double>> reused = engine.Propagate(seed, &shared);
-    PropagationWorkspace fresh;
-    StatusOr<std::vector<double>> clean = engine.Propagate(seed, &fresh);
-    ASSERT_TRUE(reused.ok());
-    ASSERT_TRUE(clean.ok());
-    EXPECT_TRUE(BitwiseEqualVectors(*reused, *clean))
-        << "lazy reset left stale state behind (seed " << v << ")";
+  Result<WeightedDigraph> dense =
+      graph::ScaleFreeWithTargetEdges(150, 700, rng);
+  Result<WeightedDigraph> sparse = graph::ErdosRenyi(3000, 3000, rng);
+  ASSERT_TRUE(dense.ok());
+  ASSERT_TRUE(sparse.ok());
+  for (const WeightedDigraph* g : {&*dense, &*sparse}) {
+    CsrSnapshot snap(*g);
+    EipdEngine engine(snap.View());
+    const size_t n = g->NumNodes();
+    size_t lazy_resets = 0;
+    PropagationWorkspace shared;
+    for (graph::NodeId v = 0; v < n; v += 13) {
+      QuerySeed seed = QuerySeed::FromNode(*g, v);
+      if (seed.empty()) continue;
+      // The condition under which this query's Reset stays lazy.
+      if (shared.phi.size() == n && shared.visited.size() <= n / 16) {
+        ++lazy_resets;
+      }
+      StatusOr<std::vector<double>> reused = engine.Propagate(seed, &shared);
+      PropagationWorkspace fresh;
+      StatusOr<std::vector<double>> clean = engine.Propagate(seed, &fresh);
+      ASSERT_TRUE(reused.ok());
+      ASSERT_TRUE(clean.ok());
+      EXPECT_TRUE(BitwiseEqualVectors(*reused, *clean))
+          << "reset left stale state behind (n " << n << ", seed " << v
+          << ")";
+    }
+    if (g == &*sparse) {
+      EXPECT_GT(lazy_resets, 0u) << "the sparse graph never took the lazy "
+                                    "reset; the check above was vacuous";
+    }
   }
-}
-
-TEST(SparseWorkspaceTest, DenseRunInvalidatesSparseTracking) {
-  Rng rng(67);
-  Result<WeightedDigraph> g = graph::ErdosRenyi(80, 400, rng);
-  ASSERT_TRUE(g.ok());
-  CsrSnapshot snap(*g);
-
-  EipdEngine dense(snap.View(), {.kernel = EipdKernel::kDense});
-  EipdEngine sparse(snap.View(), {.kernel = EipdKernel::kSparse});
-
-  QuerySeed a = QuerySeed::FromNode(*g, 0);
-  QuerySeed b = QuerySeed::FromNode(*g, 7);
-  if (a.empty() || b.empty()) GTEST_SKIP();
-
-  // sparse -> dense -> sparse through one workspace. The dense run writes
-  // untracked entries; the final sparse run must detect that and fully
-  // reset rather than trusting the stale touched list.
-  PropagationWorkspace shared;
-  ASSERT_TRUE(sparse.Propagate(a, &shared).ok());
-  ASSERT_TRUE(dense.Propagate(b, &shared).ok());
-  StatusOr<std::vector<double>> interleaved = sparse.Propagate(a, &shared);
-  StatusOr<std::vector<double>> clean = sparse.Propagate(a);
-  ASSERT_TRUE(interleaved.ok());
-  ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(BitwiseEqualVectors(*interleaved, *clean));
 }
 
 TEST(SparseWorkspaceTest, ResizeAcrossGraphsFallsBackToFullReset) {
@@ -426,8 +249,8 @@ TEST(SparseWorkspaceTest, ResizeAcrossGraphsFallsBackToFullReset) {
   CsrSnapshot small_snap(*small);
   CsrSnapshot large_snap(*large);
 
-  EipdEngine on_small(small_snap.View(), {.kernel = EipdKernel::kSparse});
-  EipdEngine on_large(large_snap.View(), {.kernel = EipdKernel::kSparse});
+  EipdEngine on_small(small_snap.View());
+  EipdEngine on_large(large_snap.View());
 
   QuerySeed small_seed = QuerySeed::FromNode(*small, 1);
   QuerySeed large_seed = QuerySeed::FromNode(*large, 1);

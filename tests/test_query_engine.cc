@@ -6,6 +6,8 @@
 #include <cstring>
 #include <optional>
 #include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,7 +15,8 @@
 #include "core/online_optimizer.h"
 #include "ppr/eipd_engine.h"
 #include "ppr/query_seed.h"
-#include "telemetry/metrics.h"
+#include "ppr/ranking.h"
+#include "eipd_reference.h"
 
 namespace kgov::serve {
 namespace {
@@ -116,14 +119,6 @@ TEST(QueryEngineTest, CreateFailsFastNamingTheField) {
   auto null_candidates =
       QueryEngine::Create(&online, nullptr, SmallEngineOptions());
   EXPECT_FALSE(null_candidates.ok());
-
-  QueryEngineOptions bad_batch = SmallEngineOptions();
-  bad_batch.max_batch_roots = 0;
-  auto batch_or = QueryEngine::Create(&online, &Candidates(), bad_batch);
-  ASSERT_FALSE(batch_or.ok());
-  EXPECT_NE(batch_or.status().message().find("max_batch_roots"),
-            std::string::npos)
-      << batch_or.status().message();
 
   QueryEngineOptions bad_admission = SmallEngineOptions();
   bad_admission.admission.capacity = 0;
@@ -384,54 +379,49 @@ TEST(QueryEngineTest, ConcurrentColdMissesCollapseOntoOneLeader) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
-TEST(QueryEngineTest, BatchedMultiRootServesBitwiseIdenticalToSolo) {
+TEST(QueryEngineTest, SubmitBatchWithDuplicateSeedsMatchesColdRank) {
   WeightedDigraph g = MakeFixture();
   OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
+  QueryEngine& engine = **engine_or;
 
-  // All seeds share first-link node 0 so the batcher folds them into
-  // same-cluster multi-root groups deterministically.
-  std::mt19937_64 rng(0xBA7C4);
-  std::uniform_real_distribution<double> weight(0.1, 1.0);
-  std::vector<ppr::QuerySeed> stream;
-  for (int i = 0; i < 32; ++i) {
-    ppr::QuerySeed seed;
-    seed.links.emplace_back(0, weight(rng));
-    if (i % 2 == 0) seed.links.emplace_back(1 + (i % 2), weight(rng));
-    seed.Normalize();
-    stream.push_back(std::move(seed));
+  // 8 distinct seeds, each submitted 4 times in one batch (interleaved,
+  // so duplicates run concurrently on the pool).
+  const std::vector<ppr::QuerySeed> distinct = SeededStream(8, 0xD0B1E);
+  std::vector<ppr::QuerySeed> batch;
+  for (int copy = 0; copy < 4; ++copy) {
+    batch.insert(batch.end(), distinct.begin(), distinct.end());
+  }
+  std::vector<StatusOr<RankedAnswers>> results = engine.SubmitBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+
+  const core::ServingEpoch epoch = online.CurrentEpoch();
+  ppr::EipdEngine cold(epoch.view(), options.eipd);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status();
+    EXPECT_EQ(results[i]->epoch, epoch.epoch);
+    ppr::PropagationWorkspace fresh;
+    StatusOr<std::vector<ppr::ScoredAnswer>> expected =
+        cold.Rank(batch[i], Candidates(), options.top_k, &fresh);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectIdenticalAnswers(*expected, results[i]->answers);
   }
 
-  QueryEngineOptions batched = SmallEngineOptions();
-  batched.enable_cache = false;
-  batched.enable_single_flight = false;  // every lane propagates
-  batched.enable_batching = true;
-  batched.max_batch_roots = 8;
-  QueryEngineOptions solo = batched;
-  solo.enable_batching = false;
-
-  auto batched_or = QueryEngine::Create(&online, &Candidates(), batched);
-  auto solo_or = QueryEngine::Create(&online, &Candidates(), solo);
-  ASSERT_TRUE(batched_or.ok()) << batched_or.status();
-  ASSERT_TRUE(solo_or.ok()) << solo_or.status();
-
-  telemetry::Counter* multi_passes =
-      telemetry::MetricRegistry::Global().GetCounter(
-          "serving.eipd.multi_passes");
-  const uint64_t passes_before = multi_passes->Value();
-
-  std::vector<StatusOr<RankedAnswers>> from_batched =
-      (*batched_or)->SubmitBatch(stream);
-  std::vector<StatusOr<RankedAnswers>> from_solo =
-      (*solo_or)->SubmitBatch(stream);
-  ASSERT_EQ(from_batched.size(), stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(from_batched[i].ok()) << from_batched[i].status();
-    ASSERT_TRUE(from_solo[i].ok()) << from_solo[i].status();
-    ExpectIdenticalAnswers(from_solo[i]->answers, from_batched[i]->answers);
-  }
-  // The batched engine really took the multi-root path.
-  EXPECT_GT(multi_passes->Value(), passes_before);
-  EXPECT_EQ((*batched_or)->GetServeStats().misses, stream.size());
+  // Duplicates collapse through single-flight and the cache: every query
+  // has exactly one outcome, and the engine ran exactly one propagation
+  // per distinct cache key.
+  std::set<std::string> keys;
+  for (const ppr::QuerySeed& seed : distinct) keys.insert(EncodeCacheKey(seed));
+  QueryEngine::ServeStats stats = engine.GetServeStats();
+  EXPECT_EQ(stats.queries, batch.size());
+  EXPECT_EQ(stats.hits + stats.misses + stats.followers + stats.shed +
+                stats.errors,
+            stats.queries);
+  EXPECT_EQ(stats.misses, keys.size());
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.shed, 0u);
 }
 
 TEST(QueryEngineTest, OutcomeAccountingIdentityHoldsUnderConcurrentLoad) {
@@ -663,33 +653,25 @@ TEST(QueryEngineTest, DegradedModeServesValidShorterWalksAndNeverCaches) {
 }
 
 TEST(QueryEngineTest, SparseKernelServesIdenticalToDenseAtZeroThreshold) {
-  // The serve path must be kernel-transparent: with sparse_threshold == 0
-  // the sparse kernel is bitwise-identical to dense, so two engines over
-  // the same graph differing only in EipdOptions::kernel return identical
-  // rankings for every query.
+  // The serve path adds nothing to the kernel's arithmetic: with
+  // sparse_threshold == 0 every served ranking is bitwise the top-k of
+  // the test-only reference walk-sum on the pinned epoch.
   WeightedDigraph g = MakeFixture();
-  OnlineKgOptimizer online_dense(g, SmallOnlineOptions());
-  OnlineKgOptimizer online_sparse(g, SmallOnlineOptions());
+  OnlineKgOptimizer online(g, SmallOnlineOptions());
+  QueryEngineOptions options = SmallEngineOptions();
+  options.eipd.sparse_threshold = 0.0;
+  auto engine_or = QueryEngine::Create(&online, &Candidates(), options);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status();
 
-  QueryEngineOptions dense_opts = SmallEngineOptions();
-  dense_opts.eipd.kernel = ppr::EipdKernel::kDense;
-  QueryEngineOptions sparse_opts = SmallEngineOptions();
-  sparse_opts.eipd.kernel = ppr::EipdKernel::kSparse;
-  sparse_opts.eipd.sparse_threshold = 0.0;
-
-  auto dense_or =
-      QueryEngine::Create(&online_dense, &Candidates(), dense_opts);
-  auto sparse_or =
-      QueryEngine::Create(&online_sparse, &Candidates(), sparse_opts);
-  ASSERT_TRUE(dense_or.ok()) << dense_or.status();
-  ASSERT_TRUE(sparse_or.ok()) << sparse_or.status();
-
+  const core::ServingEpoch epoch = online.CurrentEpoch();
   for (const ppr::QuerySeed& seed : SeededStream(32, 77)) {
-    StatusOr<RankedAnswers> a = (*dense_or)->Submit(seed);
-    StatusOr<RankedAnswers> b = (*sparse_or)->Submit(seed);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    ExpectIdenticalAnswers(a->answers, b->answers);
+    StatusOr<RankedAnswers> served = (*engine_or)->Submit(seed);
+    ASSERT_TRUE(served.ok()) << served.status();
+    StatusOr<std::vector<ppr::ScoredAnswer>> expected = ppr::TopKByScore(
+        ppr::ReferencePhi(epoch.view(), seed, options.eipd), Candidates(),
+        options.top_k);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectIdenticalAnswers(*expected, served->answers);
   }
 }
 

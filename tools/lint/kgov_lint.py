@@ -37,9 +37,13 @@ Rules (each suppressible on the offending line or the line above with
                      FastEipdEvaluator) and the deprecated EipdEngine
                      wrappers (RankAnswers* / SimilarityMany* families)
                      were deleted in favor of the StatusOr-returning
-                     EipdEngine API; this rule keeps them from growing
-                     back. Use EipdEngine::Scores/Rank/Propagate (and
-                     their *WithOverrides variants) instead.
+                     EipdEngine API; so were the kernel selector
+                     (EipdKernel), multi-root batching (RankMulti,
+                     MultiPropagationWorkspace), the degree-ordered CSR
+                     layout (CsrLayout) and the condensation solver
+                     (CondensationSgpSolver). This rule keeps them from
+                     growing back. Use EipdEngine::Scores/Rank/Propagate
+                     (and their *WithOverrides variants) instead.
   stream-status-api  Entry-point verbs in src/stream/ headers (Offer /
                      TryOffer / Drain* / Start / Stop / Close / Flush* /
                      Ingest* / Checkpoint* / Append*) must return Status,
@@ -124,11 +128,15 @@ MUTEX_DECL_RE = re.compile(
     r"^\s*(?:(?:mutable|static|inline|thread_local)\s+)*"
     r"(?:kgov\s*::\s*)?(?:Mutex|SharedMutex)\s+(\w+)\s*[;{]")
 
-# Deleted EIPD shims and deprecated wrapper methods. Class names match as
-# whole identifiers; the wrapper families match only as calls (the plain
-# `Similarity(` spelling stays legal - qa::RandomWalkBaseline has one).
+# Deleted EIPD shims, deprecated wrapper methods, and the retired
+# alternatives to the one kernel / one CSR layout / one serving path / one
+# SGP solver stack (kernel selection, multi-root batching, degree-ordered
+# CSR, condensation). Class names match as whole identifiers; the wrapper
+# families match only as calls (the plain `Similarity(` spelling stays
+# legal - qa::RandomWalkBaseline has one).
 DEPRECATED_EIPD_RE = re.compile(
-    r"\b(?:EipdEvaluator|FastEipdEvaluator)\b"
+    r"\b(?:EipdEvaluator|FastEipdEvaluator|EipdKernel|RankMulti"
+    r"|MultiPropagationWorkspace|CsrLayout|CondensationSgpSolver)\b"
     r"|\b(?:RankAnswers\w*|SimilarityMany\w*)\s*\(")
 
 # A single-line declaration of a stream entry-point verb in a src/stream/
