@@ -77,9 +77,9 @@ int Run() {
                       FormatDuration(seconds), "failed", "-"});
       continue;
     }
-    core::OmegaResult omega =
-        core::EvaluateOmega(report->optimized, workload->votes,
-                            options.encoder.symbolic.eipd);
+    core::OmegaResult omega = core::EvaluateOmega(
+        core::OptimizedGraph(workload->graph, *report), workload->votes,
+        options.encoder.symbolic.eipd);
     table.PrintRow({c.name, c.filter ? "on" : "off",
                     FormatDuration(seconds), bench::Num(omega.average),
                     std::to_string(report->constraints_satisfied) + "/" +

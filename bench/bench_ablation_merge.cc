@@ -57,9 +57,9 @@ int Run() {
         optimizer.SplitMergeSolve(workload->votes);
     double seconds = timer.ElapsedSeconds();
     if (!report.ok()) continue;
-    core::OmegaResult omega =
-        core::EvaluateOmega(report->optimized, workload->votes,
-                            options.encoder.symbolic.eipd);
+    core::OmegaResult omega = core::EvaluateOmega(
+        core::OptimizedGraph(workload->graph, *report), workload->votes,
+        options.encoder.symbolic.eipd);
     table.PrintRow({rule == cluster::MergeRule::kWeightedSignExtreme
                         ? "weighted-sign/extreme (paper)"
                         : "weighted average",

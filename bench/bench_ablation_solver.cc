@@ -57,8 +57,9 @@ int Run() {
       Result<core::OptimizeReport> report = optimizer.MultiVoteSolve(votes);
       double seconds = timer.ElapsedSeconds();
       if (!report.ok()) continue;
-      core::OmegaResult omega = core::EvaluateOmega(
-          report->optimized, votes, options.encoder.symbolic.eipd);
+      core::OmegaResult omega =
+          core::EvaluateOmega(core::OptimizedGraph(workload->graph, *report),
+                              votes, options.encoder.symbolic.eipd);
       table.PrintRow(
           {std::to_string(n),
            kind == math::InnerSolverKind::kProjectedBb ? "projected-BB"

@@ -53,8 +53,10 @@ int Run() {
   };
 
   Rankings original = ask_all(t.env.deployed.graph);
-  Rankings after_single = ask_all(single->optimized);
-  Rankings after_multi = ask_all(multi->optimized);
+  Rankings after_single =
+      ask_all(core::OptimizedGraph(t.env.deployed.graph, *single));
+  Rankings after_multi =
+      ask_all(core::OptimizedGraph(t.env.deployed.graph, *multi));
 
   // Subset (b): questions whose best answer is not top-1 originally.
   std::vector<size_t> hard;

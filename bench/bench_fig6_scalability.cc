@@ -101,9 +101,10 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
     Result<core::OptimizeReport> r_single = optimizer.SingleVoteSolve(votes);
     single.seconds = timer.ElapsedSeconds();
     if (r_single.ok()) {
-      single.omega = core::EvaluateOmega(r_single->optimized, votes,
-                                         options.encoder.symbolic.eipd)
-                         .average;
+      single.omega =
+          core::EvaluateOmega(core::OptimizedGraph(workload->graph, *r_single),
+                              votes, options.encoder.symbolic.eipd)
+              .average;
     }
 
     if (n <= kMultiVoteCap) {
@@ -111,8 +112,9 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
       Result<core::OptimizeReport> r_multi = optimizer.MultiVoteSolve(votes);
       multi.seconds = timer.ElapsedSeconds();
       if (r_multi.ok()) {
-        multi.omega = core::EvaluateOmega(r_multi->optimized, votes,
-                                          options.encoder.symbolic.eipd)
+        multi.omega = core::EvaluateOmega(
+                          core::OptimizedGraph(workload->graph, *r_multi),
+                          votes, options.encoder.symbolic.eipd)
                           .average;
       }
     }
@@ -121,9 +123,10 @@ int RunGraph(const graph::GraphProfile& profile, uint64_t seed) {
     Result<core::OptimizeReport> r_sm = optimizer.SplitMergeSolve(votes);
     sm.seconds = timer.ElapsedSeconds();
     if (r_sm.ok()) {
-      sm.omega = core::EvaluateOmega(r_sm->optimized, votes,
-                                     options.encoder.symbolic.eipd)
-                     .average;
+      sm.omega =
+          core::EvaluateOmega(core::OptimizedGraph(workload->graph, *r_sm),
+                              votes, options.encoder.symbolic.eipd)
+              .average;
 
       // Distributed S-M: this host has a single core, so a thread pool
       // cannot show real parallel gains (DistributedSplitMergeSolve is

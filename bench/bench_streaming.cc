@@ -15,6 +15,13 @@
 // value of the delta machinery. tools/ci/check.sh gates
 // hit_rate_selective > hit_rate_full on this file.
 //
+// Phase 3 (flush-latency sweep): the same community workload at growing
+// community counts (--communities N,N,...; default 24,240,2400,24000, i.e.
+// ~1.3k to ~1.3M nodes), folding fixed 8-vote micro-batches through
+// DrainOnce and timing each one. A flush does work in proportion to what
+// it touches, so p50 should stay roughly flat in |V|; what still grows is
+// the publish's copy of the neighbour array (docs/streaming.md).
+//
 // Writes BENCH_streaming.json + a telemetry snapshot with the stream.*
 // counters populated. --smoke shrinks the workload for CI.
 
@@ -22,6 +29,7 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -52,9 +60,9 @@ struct Workload {
   std::vector<votes::Vote> votes;         // one community per vote
 };
 
-Workload MakeWorkload(bool smoke) {
+Workload MakeWorkload(size_t communities) {
   Rng rng(4242);
-  const size_t kCommunities = smoke ? 12 : 24;
+  const size_t kCommunities = communities;
   const size_t kEntitiesPer = 50;
   const size_t kAnswersPer = 4;
   const size_t kSeedsPer = 2;
@@ -286,13 +294,60 @@ RetentionResult RunRetention(const Workload& w, bool smoke) {
   return result;
 }
 
-void RunAndReport(bool smoke, const char* json_path,
-                  const char* telemetry_path) {
+struct FlushSweepRow {
+  size_t communities = 0;
+  size_t nodes = 0;
+  size_t edges = 0;
+  size_t micro_batches = 0;
+  double flush_p50_ms = 0.0;
+  double flush_p99_ms = 0.0;
+};
+
+/// Phase 3: fixed-size micro-batches of votes drawn uniformly over the
+/// communities, each drained and timed on its own (no background consumer,
+/// no reader), so the latency is the write path alone: dirty marking,
+/// scoped solve, validate, diff, publish.
+FlushSweepRow RunFlushSweep(size_t communities, size_t micro_batches) {
+  constexpr size_t kVotesPerBatch = 8;
+  const Workload w = MakeWorkload(communities);
+  core::OnlineKgOptimizer online(w.graph, StreamingOptions(w));
+  auto pipeline_or = stream::StreamPipeline::Create(&online, {}, nullptr);
+  KGOV_CHECK(pipeline_or.ok());
+  stream::StreamPipeline& pipeline = **pipeline_or;
+
+  Rng rng(77);
+  size_t next_id = 0;
+  std::vector<double> flush_ms;
+  flush_ms.reserve(micro_batches);
+  for (size_t b = 0; b < micro_batches; ++b) {
+    for (size_t i = 0; i < kVotesPerBatch; ++i) {
+      votes::Vote vote = w.votes[rng.NextIndex(w.votes.size())];
+      vote.id = static_cast<uint32_t>(next_id++);
+      KGOV_CHECK(pipeline.Offer(std::move(vote)).ok());
+    }
+    Timer timer;
+    StatusOr<size_t> drained = pipeline.DrainOnce(kVotesPerBatch);
+    flush_ms.push_back(timer.ElapsedSeconds() * 1e3);
+    KGOV_CHECK(drained.ok() && *drained == kVotesPerBatch);
+  }
+  std::sort(flush_ms.begin(), flush_ms.end());
+  FlushSweepRow row;
+  row.communities = communities;
+  row.nodes = w.graph.NumNodes();
+  row.edges = w.graph.NumEdges();
+  row.micro_batches = micro_batches;
+  row.flush_p50_ms = flush_ms[flush_ms.size() / 2];
+  row.flush_p99_ms = flush_ms[flush_ms.size() * 99 / 100];
+  return row;
+}
+
+void RunAndReport(bool smoke, const std::vector<size_t>& sweep,
+                  const char* json_path, const char* telemetry_path) {
   bench::Banner(
       "Streaming pipeline: sustained ingest + selective invalidation",
       "kgov streaming subsystem (docs/streaming.md)");
 
-  Workload w = MakeWorkload(smoke);
+  Workload w = MakeWorkload(smoke ? 12 : 24);
   const unsigned host_cores = std::thread::hardware_concurrency();
   std::printf("graph: %zu nodes, %zu edges; %zu votes, %zu query seeds; "
               "host_cores=%u%s\n",
@@ -321,6 +376,33 @@ void RunAndReport(bool smoke, const char* json_path,
       retention.epoch_swaps, retention.hit_rate_selective * 100.0,
       retention.hit_rate_full * 100.0);
 
+  std::vector<FlushSweepRow> rows;
+  bench::TablePrinter sweep_table(
+      {"communities", "nodes", "edges", "flush p50 ms", "flush p99 ms"},
+      {12, 10, 10, 14, 14});
+  sweep_table.PrintHeader();
+  for (size_t communities : sweep) {
+    rows.push_back(RunFlushSweep(communities, smoke ? 40 : 200));
+    const FlushSweepRow& row = rows.back();
+    sweep_table.PrintRow({std::to_string(row.communities),
+                          std::to_string(row.nodes),
+                          std::to_string(row.edges),
+                          bench::Num(row.flush_p50_ms, 3),
+                          bench::Num(row.flush_p99_ms, 3)});
+  }
+  std::string sweep_json;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"communities\": %zu, \"nodes\": %zu, "
+                  "\"edges\": %zu, \"micro_batches\": %zu, "
+                  "\"flush_p50_ms\": %.3f, \"flush_p99_ms\": %.3f}%s\n",
+                  rows[i].communities, rows[i].nodes, rows[i].edges,
+                  rows[i].micro_batches, rows[i].flush_p50_ms,
+                  rows[i].flush_p99_ms, i + 1 < rows.size() ? "," : "");
+    sweep_json += buf;
+  }
+
   std::FILE* out = std::fopen(json_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
@@ -347,7 +429,8 @@ void RunAndReport(bool smoke, const char* json_path,
                "    \"hit_rate_selective\": %.4f,\n"
                "    \"hit_rate_full\": %.4f,\n"
                "    \"retention_gain\": %.4f\n"
-               "  }\n"
+               "  },\n"
+               "  \"flush_sweep\": [\n%s  ]\n"
                "}\n",
                smoke ? "true" : "false", host_cores,
                w.graph.NumNodes(), w.graph.NumEdges(),
@@ -356,7 +439,8 @@ void RunAndReport(bool smoke, const char* json_path,
                ingest.queries_served, ingest.serving_p50_ms,
                ingest.serving_p99_ms, retention.epoch_swaps,
                retention.hit_rate_selective, retention.hit_rate_full,
-               retention.hit_rate_selective - retention.hit_rate_full);
+               retention.hit_rate_selective - retention.hit_rate_full,
+               sweep_json.c_str());
   std::fclose(out);
   std::printf("wrote %s\n", json_path);
 
@@ -370,8 +454,22 @@ int main(int argc, char** argv) {
   bool smoke = false;
   const char* json_path = "BENCH_streaming.json";
   const char* telemetry_path = "BENCH_streaming_telemetry.json";
+  std::vector<size_t> sweep;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--communities") == 0 && i + 1 < argc) {
+      // Comma-separated community counts for the flush-latency sweep.
+      for (const char* p = argv[i + 1]; *p != '\0';) {
+        char* end = nullptr;
+        const unsigned long long n = std::strtoull(p, &end, 10);
+        if (end == p || n == 0) {
+          std::fprintf(stderr, "bad --communities list: %s\n", argv[i + 1]);
+          return 2;
+        }
+        sweep.push_back(static_cast<size_t>(n));
+        p = *end == ',' ? end + 1 : end;
+      }
+    }
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[i + 1];
     }
@@ -379,6 +477,10 @@ int main(int argc, char** argv) {
       telemetry_path = argv[i + 1];
     }
   }
-  kgov::RunAndReport(smoke, json_path, telemetry_path);
+  if (sweep.empty()) {
+    sweep = smoke ? std::vector<size_t>{24, 240}
+                  : std::vector<size_t>{24, 240, 2400, 24000};
+  }
+  kgov::RunAndReport(smoke, sweep, json_path, telemetry_path);
   return 0;
 }

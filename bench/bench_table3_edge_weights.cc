@@ -41,7 +41,8 @@ int Run() {
   };
   std::vector<ChangedEdge> changed;
   const graph::WeightedDigraph& before = t.env.deployed.graph;
-  const graph::WeightedDigraph& after = multi->optimized;
+  const graph::WeightedDigraph after =
+      core::OptimizedGraph(t.env.deployed.graph, *multi);
   for (graph::EdgeId e = 0; e < before.NumEdges(); ++e) {
     // Only entity-entity edges are interpretable relations.
     if (before.edge(e).to >= t.env.deployed.num_entities) continue;

@@ -85,9 +85,13 @@ int Run() {
   // Evaluate each graph on the expert-labeled test questions.
   auto original_rankings = AskAll(t.env.deployed.graph, t.env,
                                   t.sim_params.qa, t.env.test_questions);
-  auto single_rankings = AskAll(single->optimized, t.env, t.sim_params.qa,
+  const graph::WeightedDigraph single_graph =
+      core::OptimizedGraph(t.env.deployed.graph, *single);
+  const graph::WeightedDigraph multi_graph =
+      core::OptimizedGraph(t.env.deployed.graph, *multi);
+  auto single_rankings = AskAll(single_graph, t.env, t.sim_params.qa,
                                 t.env.test_questions);
-  auto multi_rankings = AskAll(multi->optimized, t.env, t.sim_params.qa,
+  auto multi_rankings = AskAll(multi_graph, t.env, t.sim_params.qa,
                                t.env.test_questions);
 
   std::vector<double> original_ranks =
@@ -97,10 +101,10 @@ int Run() {
   std::vector<double> multi_ranks =
       BestRanks(t.env.test_questions, multi_rankings);
 
-  core::OmegaResult omega_single = core::EvaluateOmega(
-      single->optimized, votes, t.sim_params.qa.eipd);
-  core::OmegaResult omega_multi = core::EvaluateOmega(
-      multi->optimized, votes, t.sim_params.qa.eipd);
+  core::OmegaResult omega_single =
+      core::EvaluateOmega(single_graph, votes, t.sim_params.qa.eipd);
+  core::OmegaResult omega_multi =
+      core::EvaluateOmega(multi_graph, votes, t.sim_params.qa.eipd);
 
   bench::TablePrinter table({"Graph", "Ravg", "Omega_avg", "Pavg"},
                             {36, 8, 10, 10});

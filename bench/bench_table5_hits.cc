@@ -83,10 +83,12 @@ int Run() {
   qa::RankingMetrics m_rw = HitsOf(questions, rw_rankings);
   qa::RankingMetrics m_kg =
       HitsOf(questions, kg_rankings(t.env.deployed.graph));
-  qa::RankingMetrics m_single =
-      HitsOf(questions, kg_rankings(single->optimized));
-  qa::RankingMetrics m_multi =
-      HitsOf(questions, kg_rankings(multi->optimized));
+  qa::RankingMetrics m_single = HitsOf(
+      questions,
+      kg_rankings(core::OptimizedGraph(t.env.deployed.graph, *single)));
+  qa::RankingMetrics m_multi = HitsOf(
+      questions,
+      kg_rankings(core::OptimizedGraph(t.env.deployed.graph, *multi)));
 
   bench::TablePrinter table({"Method", "H@1", "H@3", "H@5", "H@10"},
                             {34, 6, 6, 6, 6});

@@ -119,7 +119,9 @@ int main() {
     return 1;
   }
 
-  graph::CsrSnapshot optimized_snapshot(report->optimized);
+  const graph::WeightedDigraph optimized_graph =
+      core::OptimizedGraph(g, *report);
+  graph::CsrSnapshot optimized_snapshot(optimized_graph);
   ppr::EipdEngine optimized(optimized_snapshot.View(), eipd);
   std::vector<ppr::ScoredAnswer> reranked =
       optimized.Rank(context, products, products.size()).value_or({});
@@ -127,12 +129,12 @@ int main() {
               implicit_votes.size(), report->num_clusters);
   for (size_t i = 0; i < reranked.size(); ++i) {
     std::printf("  %zu. %-26s %.5f\n", i + 1,
-                report->optimized.NodeLabel(reranked[i].node).c_str(),
+                optimized_graph.NodeLabel(reranked[i].node).c_str(),
                 reranked[i].score);
   }
 
   core::OmegaResult omega =
-      core::EvaluateOmega(report->optimized, implicit_votes, eipd);
+      core::EvaluateOmega(optimized_graph, implicit_votes, eipd);
   std::printf("\nOmega_avg = %.2f; '%s' moved from rank %d to rank %d.\n",
               omega.average, product_names[6].c_str(),
               votes::RankOf(implicit_votes[0].answer_list, products[6]),

@@ -119,14 +119,15 @@ int main() {
   }
 
   // ---- 5. Ask again on the optimized graph ----
-  graph::CsrSnapshot optimized_snapshot(report->optimized);
+  const graph::WeightedDigraph optimized = core::OptimizedGraph(g, *report);
+  graph::CsrSnapshot optimized_snapshot(optimized);
   ppr::EipdEngine optimized_evaluator(optimized_snapshot.View(), eipd);
   std::vector<ppr::ScoredAnswer> reranked =
       optimized_evaluator.Rank(question, answers, 3).value_or({});
   std::printf("\nRanked answers after optimization:\n");
   for (size_t i = 0; i < reranked.size(); ++i) {
     std::printf("  %zu. %-28s score %.5f\n", i + 1,
-                report->optimized.NodeLabel(reranked[i].node).c_str(),
+                optimized.NodeLabel(reranked[i].node).c_str(),
                 reranked[i].score);
   }
 
@@ -135,7 +136,7 @@ int main() {
     const graph::Edge& e = g.edge(edge_id);
     std::printf("  %-12s -> %-12s  %.3f -> %.3f\n",
                 g.NodeLabel(e.from).c_str(), g.NodeLabel(e.to).c_str(),
-                g.Weight(edge_id), report->optimized.Weight(edge_id));
+                g.Weight(edge_id), optimized.Weight(edge_id));
   }
 
   bool success = !reranked.empty() && reranked[0].node == vote.best_answer;

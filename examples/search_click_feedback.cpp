@@ -100,7 +100,7 @@ int main() {
                    report.status().ToString().c_str());
       return 1;
     }
-    current = std::move(report->optimized);
+    current.ApplyWeightUpdate(report->update);
     std::printf("  batch %zu (%zu clicks, %zu clusters): mean clicked "
                 "position %.2f\n",
                 start / batch_size + 1, batch.size(), report->num_clusters,

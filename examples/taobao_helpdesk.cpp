@@ -95,7 +95,8 @@ int main() {
               report->constraints_satisfied, report->constraints_total,
               report->weight_changes.size());
 
-  qa::RankingMetrics optimized = Evaluate(report->optimized, *env, sim.qa);
+  qa::RankingMetrics optimized = Evaluate(
+      core::OptimizedGraph(env->deployed.graph, *report), *env, sim.qa);
   PrintMetrics("optimized", optimized);
 
   double gain = optimized.mrr - deployed.mrr;

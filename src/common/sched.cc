@@ -43,7 +43,11 @@ enum class ThreadPhase {
 
 struct ThreadRec {
   int tid = -1;
-  std::shared_ptr<RunState> run;
+  // Non-owning: RunState::threads owns every ThreadRec, so an owning
+  // pointer back would form a cycle and leak each run. The run outlives
+  // the record's use: ThreadMain holds a shared_ptr to it for as long as
+  // the thread is registered.
+  RunState* run = nullptr;
   ThreadPhase phase = ThreadPhase::kRunnable;
   const void* wait_id = nullptr;  // mutex or condvar the thread waits on
   bool timed_wait = false;
@@ -559,7 +563,7 @@ void NotifyCv(const void* cv_id, bool /*notify_all*/) {
       t->woke_by_timeout = false;
     }
   }
-  if (rec != nullptr && rec->run == run) {
+  if (rec != nullptr && rec->run == run.get()) {
     YieldLocked(rec, lk);  // notify is a yield point for registered threads
   } else {
     run->cv.notify_all();  // kick a scheduler polling for runnables
@@ -621,7 +625,7 @@ Status Explorer::RunOne(const std::function<Scenario()>& factory,
   for (int i = 0; i < n; ++i) {
     auto rec = std::make_shared<ThreadRec>();
     rec->tid = i;
-    rec->run = run;
+    rec->run = run.get();
     run->threads.push_back(rec);
   }
   {

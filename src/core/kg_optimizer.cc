@@ -1,6 +1,7 @@
 #include "core/kg_optimizer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -12,7 +13,6 @@
 #include "common/timer.h"
 #include "graph/csr.h"
 #include "graph/subgraph.h"
-#include "ppr/eipd_engine.h"
 #include "ppr/eipd_engine.h"
 #include "telemetry/metrics.h"
 
@@ -75,6 +75,57 @@ void RecordDeltas(const ppr::EdgeVariableMap& vars,
   }
 }
 
+// The weights a solve writes, kept as a sparse overlay on the borrowed
+// input graph instead of a copy of it. SetWeight and NormalizeOutWeights
+// follow WeightedDigraph's float paths exactly (same clamp, same left-fold
+// sum in out-edge order, same division), so Update() carries the bits a
+// copied-and-mutated graph would hold.
+class WeightOverlay {
+ public:
+  explicit WeightOverlay(const graph::WeightedDigraph& base) : base_(base) {}
+
+  double Weight(graph::EdgeId e) const {
+    auto it = written_.find(e);
+    return it == written_.end() ? base_.Weight(e) : it->second;
+  }
+
+  void SetWeight(graph::EdgeId e, double weight) {
+    written_[e] = std::max(weight, 0.0);
+  }
+
+  void NormalizeOutWeights(graph::NodeId node) {
+    double sum = 0.0;
+    for (const graph::OutEdge& out : base_.OutEdges(node)) {
+      sum += Weight(out.edge);
+    }
+    if (sum <= 0.0) return;
+    for (const graph::OutEdge& out : base_.OutEdges(node)) {
+      written_[out.edge] = Weight(out.edge) / sum;
+    }
+  }
+
+  /// Every written edge whose bits differ from the base, sorted by id.
+  graph::WeightUpdate Update() const {
+    graph::WeightUpdate update;
+    update.reserve(written_.size());
+    for (const auto& [edge, weight] : written_) {
+      const double before = base_.Weight(edge);
+      if (std::memcmp(&before, &weight, sizeof(double)) != 0) {
+        update.push_back(graph::EdgeWeight{edge, weight});
+      }
+    }
+    std::sort(update.begin(), update.end(),
+              [](const graph::EdgeWeight& a, const graph::EdgeWeight& b) {
+                return a.edge < b.edge;
+              });
+    return update;
+  }
+
+ private:
+  const graph::WeightedDigraph& base_;
+  std::unordered_map<graph::EdgeId, double> written_;
+};
+
 // Renormalizes only the out-weight lists the update touched (the source
 // nodes of edges whose weight moved). Untouched nodes keep their exact bit
 // patterns - the invariant the streaming epoch diff and selective cache
@@ -84,15 +135,17 @@ void RecordDeltas(const ppr::EdgeVariableMap& vars,
 // flush. Normalization-per-touched-node is inductively equivalent: the
 // initial graph arrives normalized, and a node's sum only drifts when one
 // of its out-edges is updated - exactly when it is renormalized here.
+// `weights` is a WeightedDigraph or a WeightOverlay over `topology`.
+template <typename Weights>
 void NormalizeTouchedSources(
     const std::unordered_map<graph::EdgeId, double>& changes,
-    graph::WeightedDigraph* g) {
+    const graph::WeightedDigraph& topology, Weights* weights) {
   std::unordered_set<graph::NodeId> sources;
   sources.reserve(changes.size());
   for (const auto& [edge, delta] : changes) {
-    sources.insert(g->edges()[edge].from);
+    sources.insert(topology.edge(edge).from);
   }
-  for (graph::NodeId node : sources) g->NormalizeOutWeights(node);
+  for (graph::NodeId node : sources) weights->NormalizeOutWeights(node);
 }
 
 }  // namespace
@@ -133,16 +186,27 @@ Status OptimizerOptions::Validate() const {
 }
 
 KgOptimizer::KgOptimizer(const graph::WeightedDigraph* graph,
-                         OptimizerOptions options)
+                         OptimizerOptions options, graph::GraphView view)
     : graph_(graph),
       options_(std::move(options)),
+      view_(view),
       options_status_(options_.Validate()) {
   KGOV_CHECK(graph_ != nullptr);
+  KGOV_CHECK(!view_.HasEdgeIds() ||
+             (view_.NumNodes() == graph_->NumNodes() &&
+              view_.NumEdges() == graph_->NumEdges()))
+      << "KgOptimizer view does not match its graph";
+}
+
+graph::GraphView KgOptimizer::SolveView(
+    std::unique_ptr<graph::CsrSnapshot>* owned) const {
+  if (view_.HasEdgeIds()) return view_;
+  *owned = std::make_unique<graph::CsrSnapshot>(*graph_);
+  return (*owned)->View();
 }
 
 std::vector<votes::Vote> KgOptimizer::Filter(
-    const std::vector<votes::Vote>& votes,
-    const graph::WeightedDigraph& graph) const {
+    const std::vector<votes::Vote>& votes, graph::GraphView view) const {
   if (!options_.apply_judgment_filter) {
     std::vector<votes::Vote> kept;
     kept.reserve(votes.size());
@@ -155,7 +219,7 @@ std::vector<votes::Vote> KgOptimizer::Filter(
   judgment.symbolic = options_.encoder.symbolic;
   judgment.is_variable = options_.encoder.is_variable;
   judgment.shared_edge_weight = options_.judgment_shared_weight;
-  votes::JudgmentFilter filter(&graph, std::move(judgment));
+  votes::JudgmentFilter filter(graph_, view, std::move(judgment));
   return filter.FilterVotes(votes);
 }
 
@@ -164,8 +228,9 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
   KGOV_RETURN_IF_ERROR(options_status_);
   OptimizeReport report;
   report.votes_in = votes.size();
-  report.optimized = *graph_;
-  graph::WeightedDigraph& current = report.optimized;
+  // The greedy loop re-encodes against its own result after every vote,
+  // so it works on a copy (offline only; the online loop never runs it).
+  graph::WeightedDigraph current = *graph_;
 
   math::SgpSolverOptions sgp = options_.sgp;
   sgp.formulation = math::SgpFormulation::kHardConstraints;
@@ -204,7 +269,7 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
       }
       program.variables.ApplyValues(solution.x, &current);
       if (options_.normalize_after_update) {
-        NormalizeTouchedSources(round_changes, &current);
+        NormalizeTouchedSources(round_changes, current, &current);
       }
       if (!encoded_any) {
         report.constraints_total += solution.total_constraints;
@@ -233,6 +298,7 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
     }
   }
   report.votes_after_filter = report.votes_encoded;
+  report.update = graph::DiffWeights(*graph_, current);
   return report;
 }
 
@@ -241,10 +307,13 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
   KGOV_RETURN_IF_ERROR(options_status_);
   OptimizeReport report;
   report.votes_in = votes.size();
-  report.optimized = *graph_;
 
   Timer timer;
-  std::vector<votes::Vote> filtered = Filter(votes, *graph_);
+  std::unique_ptr<graph::CsrSnapshot> owned_snapshot;
+  const graph::GraphView view = options_.apply_judgment_filter
+                                    ? SolveView(&owned_snapshot)
+                                    : graph::GraphView{};
+  std::vector<votes::Vote> filtered = Filter(votes, view);
   report.votes_after_filter = filtered.size();
   if (filtered.empty()) {
     return Status::InvalidArgument("no votes survive filtering");
@@ -264,12 +333,17 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
   report.solve_seconds = timer.ElapsedSeconds();
   report.solve_attempts = outcome.attempts.size();
 
-  RecordDeltas(program.variables, report.optimized, solution.x,
+  RecordDeltas(program.variables, *graph_, solution.x,
                &report.weight_changes);
-  program.variables.ApplyValues(solution.x, &report.optimized);
-  if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, &report.optimized);
+  WeightOverlay optimized(*graph_);
+  for (size_t v = 0; v < program.variables.NumVariables(); ++v) {
+    optimized.SetWeight(program.variables.EdgeOf(static_cast<math::VarId>(v)),
+                        solution.x[v]);
   }
+  if (options_.normalize_after_update) {
+    NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
+  }
+  report.update = optimized.Update();
   report.constraints_total = solution.total_constraints;
   report.constraints_satisfied = solution.satisfied_constraints;
   return report;
@@ -308,7 +382,8 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolveScoped(
     ppr::SymbolicEipd::VariablePredicate scope) const {
   KGOV_RETURN_IF_ERROR(options_status_);
   if (!scope) return MultiVoteSolve(votes);
-  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)));
+  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)),
+                     view_);
   return scoped.MultiVoteSolve(votes);
 }
 
@@ -317,7 +392,8 @@ Result<OptimizeReport> KgOptimizer::SplitMergeSolveScoped(
     ppr::SymbolicEipd::VariablePredicate scope) const {
   KGOV_RETURN_IF_ERROR(options_status_);
   if (!scope) return SplitMergeSolve(votes);
-  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)));
+  KgOptimizer scoped(graph_, NarrowToScope(options_, std::move(scope)),
+                     view_);
   return scoped.SplitMergeImpl(votes, nullptr);
 }
 
@@ -337,10 +413,17 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   metrics.solves->Increment();
   OptimizeReport report;
   report.votes_in = votes.size();
-  report.optimized = *graph_;
 
   Timer timer;
-  std::vector<votes::Vote> filtered = Filter(votes, *graph_);
+  // One CSR view shared by the judgment filter and every cluster's
+  // verification: each verification builds a zero-copy induced sub-view
+  // over it instead of materializing a per-cluster WeightedDigraph.
+  std::unique_ptr<graph::CsrSnapshot> owned_snapshot;
+  const graph::GraphView parent_view =
+      options_.apply_judgment_filter || options_.verify_cluster_solutions
+          ? SolveView(&owned_snapshot)
+          : graph::GraphView{};
+  std::vector<votes::Vote> filtered = Filter(votes, parent_view);
   report.votes_after_filter = filtered.size();
   if (filtered.empty()) {
     return Status::InvalidArgument("no votes survive filtering");
@@ -368,17 +451,6 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   report.encode_seconds = timer.ElapsedSeconds();
   metrics.split_span->Observe(report.encode_seconds);
   metrics.clusters->Increment(num_clusters);
-
-  // Frozen parent CSR shared (read-only) by all cluster tasks: each
-  // verification builds a zero-copy induced sub-view over it instead of
-  // materializing a per-cluster WeightedDigraph.
-  std::unique_ptr<graph::CsrSnapshot> parent_snapshot;
-  if (options_.verify_cluster_solutions) {
-    parent_snapshot = std::make_unique<graph::CsrSnapshot>(*graph_);
-  }
-  const graph::GraphView parent_view =
-      parent_snapshot == nullptr ? graph::GraphView{}
-                                 : parent_snapshot->View();
 
   // Solve one multi-vote SGP per cluster (clusters are independent by
   // construction, so they may run in parallel). A cluster whose solve
@@ -538,17 +610,26 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   telemetry::ScopedSpan merge_span(metrics.merge_span);
   std::unordered_map<graph::EdgeId, double> merged =
       cluster::MergeClusterDeltas(deltas, options_.merge_rule);
+  WeightOverlay optimized(*graph_);
   for (const auto& [edge, delta] : merged) {
-    double w = report.optimized.Weight(edge) + delta;
+    double w = optimized.Weight(edge) + delta;
     w = std::clamp(w, options_.encoder.weight_lower_bound,
                    options_.encoder.weight_upper_bound);
-    report.optimized.SetWeight(edge, w);
+    optimized.SetWeight(edge, w);
   }
   report.weight_changes = std::move(merged);
   if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, &report.optimized);
+    NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
   }
+  report.update = optimized.Update();
   return report;
+}
+
+graph::WeightedDigraph OptimizedGraph(const graph::WeightedDigraph& base,
+                                      const OptimizeReport& report) {
+  graph::WeightedDigraph optimized = base;
+  optimized.ApplyWeightUpdate(report.update);
+  return optimized;
 }
 
 }  // namespace kgov::core

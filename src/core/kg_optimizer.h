@@ -15,12 +15,16 @@
 //                                 thread pool (the paper's 4-machine
 //                                 distributed variant).
 //
-// All strategies leave the input graph untouched and return the optimized
-// copy G* plus a report of what happened.
+// All strategies leave the input graph untouched and return G* as a
+// weight-only update of it (OptimizeReport::update: every edge whose
+// weight bits change, with its final weight) plus a report of what
+// happened. OptimizedGraph() materializes G* for offline callers; the
+// online loop applies the update in place.
 
 #ifndef KGOV_CORE_KG_OPTIMIZER_H_
 #define KGOV_CORE_KG_OPTIMIZER_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +33,9 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/resilience.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "math/sgp_solver.h"
 #include "votes/judgment.h"
 #include "votes/vote.h"
@@ -94,8 +100,10 @@ struct ClusterFailure {
 };
 
 struct OptimizeReport {
-  /// The optimized graph G*.
-  graph::WeightedDigraph optimized;
+  /// The optimized graph G* as an update of the input graph: every edge
+  /// whose weight bits change (including siblings renormalized alongside
+  /// an updated edge) with its final weight, sorted by edge id.
+  graph::WeightUpdate update;
   /// Votes given / surviving the judgment filter / actually encoded.
   size_t votes_in = 0;
   size_t votes_after_filter = 0;
@@ -132,7 +140,13 @@ struct OptimizeReport {
 class KgOptimizer {
  public:
   /// `graph` is borrowed (never mutated) and must outlive the optimizer.
-  KgOptimizer(const graph::WeightedDigraph* graph, OptimizerOptions options);
+  /// `view`, when given, is a frozen CSR view of `graph` with edge ids and
+  /// identical weights (e.g. the serving epoch's view) and must outlive the
+  /// optimizer too; the judgment filter and split-merge verification read
+  /// it. Without one, each solve that needs a CSR builds one and shares it
+  /// between the two.
+  KgOptimizer(const graph::WeightedDigraph* graph, OptimizerOptions options,
+              graph::GraphView view = {});
 
   const OptimizerOptions& options() const { return options_; }
 
@@ -175,15 +189,30 @@ class KgOptimizer {
                                         ThreadPool* pool) const;
 
   /// Applies judgment filtering when enabled; returns surviving votes.
+  /// `view` is the solve's CSR view of graph_ (see SolveView).
   std::vector<votes::Vote> Filter(const std::vector<votes::Vote>& votes,
-                                  const graph::WeightedDigraph& graph) const;
+                                  graph::GraphView view) const;
+
+  /// The CSR view of graph_ this solve reads: the borrowed view_ when one
+  /// was given, else a snapshot built into `*owned` (kept alive by the
+  /// caller for the solve's duration).
+  graph::GraphView SolveView(
+      std::unique_ptr<graph::CsrSnapshot>* owned) const;
 
   const graph::WeightedDigraph* graph_;
   OptimizerOptions options_;
+  // Borrowed CSR view of *graph_; empty (no edge ids) when none was given.
+  graph::GraphView view_;
   // options_.Validate() captured at construction; solve entry points fail
   // fast with it when not OK.
   Status options_status_;
 };
+
+/// G*: a copy of `base` (the graph `report` was solved on) with
+/// report.update applied. For offline callers that want the optimized
+/// graph as a value; O(|V| + |E|).
+graph::WeightedDigraph OptimizedGraph(const graph::WeightedDigraph& base,
+                                      const OptimizeReport& report);
 
 }  // namespace kgov::core
 

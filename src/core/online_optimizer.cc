@@ -30,6 +30,9 @@ struct OnlineMetrics {
   telemetry::Counter* dead_letter_persisted;
   telemetry::Gauge* pending_votes;
   telemetry::Histogram* flush_span;
+  telemetry::Histogram* validate_span;
+  telemetry::Histogram* diff_span;
+  telemetry::Histogram* publish_span;
 
   static const OnlineMetrics& Get() {
     static const OnlineMetrics m = [] {
@@ -45,31 +48,44 @@ struct OnlineMetrics {
                            reg.GetCounter("online.dead_letter_evictions"),
                            reg.GetCounter("durability.dead_letter_persisted"),
                            reg.GetGauge("online.pending_votes"),
-                           reg.GetHistogram("span.online.flush.seconds")};
+                           reg.GetHistogram("span.online.flush.seconds"),
+                           reg.GetHistogram("span.online.validate.seconds"),
+                           reg.GetHistogram("span.online.diff.seconds"),
+                           reg.GetHistogram("span.online.publish.seconds")};
     }();
     return m;
   }
 };
 
 // Partition clusters whose source-side edge weights differ bitwise between
-// `before` and `after` (identical topology). Bitwise comparison is the
-// ground truth selective invalidation hangs off: it is immune to
-// normalization reproducing an "equal" weight through a different float
-// path, and an unchanged bit pattern provably serves identical results.
+// `before` and `before` with `update` applied. Only updated edges can
+// differ, so this reads the update alone. Bitwise comparison is the ground
+// truth selective invalidation hangs off: it is immune to normalization
+// reproducing an "equal" weight through a different float path, and an
+// unchanged bit pattern provably serves identical results.
 std::vector<uint32_t> DiffChangedClusters(
-    const graph::WeightedDigraph& before, const graph::WeightedDigraph& after,
+    const graph::WeightedDigraph& before, const graph::WeightUpdate& update,
     const stream::GraphPartition& partition) {
-  KGOV_ASSERT(before.NumEdges() == after.NumEdges());
   std::vector<uint32_t> changed;
-  for (size_t e = 0; e < before.NumEdges(); ++e) {
-    const double a = before.edges()[e].weight;
-    const double b = after.edges()[e].weight;
-    if (std::memcmp(&a, &b, sizeof(double)) != 0) {
-      changed.push_back(partition.ClusterOf(before.edges()[e].from));
+  for (const graph::EdgeWeight& entry : update) {
+    const double a = before.Weight(entry.edge);
+    if (std::memcmp(&a, &entry.weight, sizeof(double)) != 0) {
+      changed.push_back(partition.ClusterOf(before.edge(entry.edge).from));
     }
   }
   stream::CanonicalizeClusterSet(&changed);
   return changed;
+}
+
+// Fault injection: overwrites (or inserts) edge 0's entry with NaN, so the
+// validator's rollback path runs end to end. Edge 0 sorts first.
+void CorruptUpdate(graph::WeightUpdate* update) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  if (!update->empty() && update->front().edge == 0) {
+    update->front().weight = nan;
+  } else {
+    update->insert(update->begin(), graph::EdgeWeight{0, nan});
+  }
 }
 
 }  // namespace
@@ -265,8 +281,12 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
   for (const PendingVote& pending : batch) votes.push_back(pending.vote);
 
   Timer timer;
+  // The current epoch's snapshot is exactly CsrSnapshot(graph_): the
+  // judgment filter and split-merge verification read its view instead of
+  // building their own, and the next epoch is patched from it.
+  const ServingEpoch current = serving();
   Result<OptimizeReport> result = [&]() -> Result<OptimizeReport> {
-    KgOptimizer optimizer(&graph_, options_.optimizer);
+    KgOptimizer optimizer(&graph_, options_.optimizer, current.view());
     if (scope == nullptr) {
       return options_.strategy == FlushStrategy::kMultiVote
                  ? optimizer.MultiVoteSolve(votes)
@@ -298,17 +318,24 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
     return result.status();
   }
   OptimizeReport& opt = result.value();
+  graph::WeightUpdate& update = opt.update;
 
-  // Injection point: corrupt the optimized graph before validation, so the
+  // Injection point: corrupt the update before validation, so the
   // rollback path is exercised end-to-end in tests.
-  if (FaultFires(FaultSite::kGraphCorruption) &&
-      opt.optimized.NumEdges() > 0) {
-    opt.optimized.SetWeight(0, std::numeric_limits<double>::quiet_NaN());
+  if (FaultFires(FaultSite::kGraphCorruption) && graph_.NumEdges() > 0) {
+    CorruptUpdate(&update);
   }
 
   if (options_.validate_updates) {
-    Status valid =
-        ValidateGraphUpdate(graph_, opt.optimized, options_.validator);
+    telemetry::ScopedSpan validate_span(metrics.validate_span);
+    // What the current graph already violates, found once (O(|E|)) at the
+    // first validated flush rather than at construction or restart. Once
+    // a flush applies, the whole graph is valid and the list is empty.
+    if (!baseline_violations_.has_value()) {
+      baseline_violations_ = FindViolations(graph_, options_.validator);
+    }
+    Status valid = ValidateWeightUpdate(graph_, update, options_.validator,
+                                        *baseline_violations_);
     if (!valid.ok()) {
       // Rollback: the serving graph and snapshot stay exactly as they
       // were; the batch is re-queued for the next flush.
@@ -343,8 +370,11 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
 
   const size_t applied = batch.size() - quarantined.size();
   // What actually changed, bitwise: the delta readers will invalidate by.
-  std::vector<uint32_t> changed =
-      DiffChangedClusters(graph_, opt.optimized, *partition_);
+  std::vector<uint32_t> changed;
+  {
+    telemetry::ScopedSpan diff_span(metrics.diff_span);
+    changed = DiffChangedClusters(graph_, update, *partition_);
+  }
   // Publication guard: a batch that applied nothing (everything rejected
   // or quarantined), or a scoped micro-batch whose solve reproduced every
   // weight bit-for-bit, publishes no epoch - cycling caches for an
@@ -353,14 +383,19 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
   const bool publish =
       applied > 0 && (scope == nullptr || !changed.empty());
   if (publish) {
+    telemetry::ScopedSpan publish_span(metrics.publish_span);
     report.changed_clusters = changed;
-    graph_ = std::move(opt.optimized);
+    graph_.ApplyWeightUpdate(update);
+    // A graph that passed validation has no violations left to repair
+    // (the list is unused when validation is off).
+    baseline_violations_ = GraphViolations{};
     auto delta = std::make_shared<stream::EpochDelta>();
     delta->changed_clusters = std::move(changed);
     // Build the new snapshot fully before taking the epoch lock: readers
-    // only ever wait on the pointer swap, never on the optimize or the CSR
-    // construction.
-    PublishEpoch(std::make_shared<graph::CsrSnapshot>(graph_),
+    // only ever wait on the pointer swap, never on the optimize or the
+    // patch. It shares the current snapshot's topology arrays.
+    PublishEpoch(std::make_shared<graph::CsrSnapshot>(
+                     current.snapshot->WithUpdate(update)),
                  std::move(delta));
   } else {
     metrics.epoch_skips->Increment();

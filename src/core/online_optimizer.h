@@ -14,11 +14,20 @@
 //    `max_vote_attempts` flushes move to a bounded dead-letter buffer.
 //  * Votes quarantined by per-cluster failure isolation are re-queued for
 //    the next flush under the same bounded-attempt policy.
-//  * Before the serving snapshot is swapped, the optimized graph is
-//    validated (finite weights, weights in bounds, out-weight
-//    normalization, no edge drift). A violation rolls the flush back:
-//    the serving graph and snapshot are left untouched and the batch is
-//    re-queued.
+//  * Before the serving snapshot is swapped, the optimizer's weight update
+//    is validated (finite weights, weights in bounds, out-weight
+//    normalization of every touched node). A violation rolls the flush
+//    back: the serving graph and snapshot are left untouched and the batch
+//    is re-queued.
+//
+// A flush does work in proportion to what it touches, not to the graph:
+// the optimizer returns a sorted weight update instead of a graph copy;
+// validation and the changed-cluster diff read only the updated edges and
+// their source nodes; the graph is updated in place; and the next
+// snapshot copies the current one's neighbour array and patches the
+// updated slots, sharing its topology arrays. The judgment filter and the
+// split-merge verifier read the current epoch's view, so a flush builds no
+// CSR at all.
 //
 // Serving is epoch-based: each successful flush publishes a new
 // ServingEpoch (ref-counted CsrSnapshot + monotonically increasing epoch
@@ -34,6 +43,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -82,8 +92,8 @@ struct OnlineOptimizerOptions {
   int max_vote_attempts = 3;
   /// Dead-letter capacity; the oldest entries are evicted beyond this.
   size_t dead_letter_capacity = 4096;
-  /// Validate the optimized graph before swapping it in, rolling back on
-  /// violation.
+  /// Validate the optimizer's weight update before applying it, rolling
+  /// back on violation.
   bool validate_updates = true;
   /// Invariants checked by the pre-swap validator. The weight bounds are
   /// widened to cover the encoder's configured bounds automatically.
@@ -346,6 +356,10 @@ class OnlineKgOptimizer {
   Status last_flush_status_;
   size_t total_applied_ = 0;
   size_t rollback_count_ = 0;
+  // What graph_ violates of options_.validator, found at the first
+  // validated flush (not at construction, so neither start-up nor restart
+  // pays the O(|E|) scan) and emptied once a validated update applies.
+  std::optional<GraphViolations> baseline_violations_;
 };
 
 }  // namespace kgov::core

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/contracts.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -232,6 +233,36 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
   return outcome;
 }
 
+namespace {
+
+// The per-edge invariants (finite, inside the widened bounds); the error
+// names the edge. Shared by the whole-graph and the update validators so
+// both report a violation with the same words.
+Status CheckEdgeWeight(graph::EdgeId e, double w,
+                       const GraphValidatorOptions& options) {
+  if (!std::isfinite(w)) {
+    return Status::FailedPrecondition("edge " + std::to_string(e) +
+                                      " has non-finite weight");
+  }
+  const double lo = options.weight_lower_bound - options.tolerance;
+  const double hi = options.weight_upper_bound + options.tolerance;
+  if (w < lo || w > hi) {
+    return Status::FailedPrecondition(
+        "edge " + std::to_string(e) + " weight " + std::to_string(w) +
+        " outside [" + std::to_string(options.weight_lower_bound) + ", " +
+        std::to_string(options.weight_upper_bound) + "]");
+  }
+  return Status::OK();
+}
+
+Status SubStochasticViolation() {
+  return Status::FailedPrecondition(
+      "out-weight normalization violated: a node's out-weights sum to "
+      "more than 1");
+}
+
+}  // namespace
+
 Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const graph::WeightedDigraph& after,
                            const GraphValidatorOptions& options) {
@@ -256,26 +287,105 @@ Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
       }
     }
   }
-  const double lo = options.weight_lower_bound - options.tolerance;
-  const double hi = options.weight_upper_bound + options.tolerance;
   for (graph::EdgeId e = 0; e < after.NumEdges(); ++e) {
-    double w = after.Weight(e);
-    if (!std::isfinite(w)) {
-      return Status::FailedPrecondition("edge " + std::to_string(e) +
-                                        " has non-finite weight");
-    }
-    if (w < lo || w > hi) {
-      return Status::FailedPrecondition(
-          "edge " + std::to_string(e) + " weight " + std::to_string(w) +
-          " outside [" + std::to_string(options.weight_lower_bound) + ", " +
-          std::to_string(options.weight_upper_bound) + "]");
-    }
+    KGOV_RETURN_IF_ERROR(CheckEdgeWeight(e, after.Weight(e), options));
   }
   if (options.check_substochastic &&
       !after.IsSubStochastic(options.tolerance)) {
-    return Status::FailedPrecondition(
-        "out-weight normalization violated: a node's out-weights sum to "
-        "more than 1");
+    return SubStochasticViolation();
+  }
+  return Status::OK();
+}
+
+GraphViolations FindViolations(const graph::WeightedDigraph& graph,
+                               const GraphValidatorOptions& options) {
+  GraphViolations found;
+  for (graph::EdgeId e = 0; e < graph.NumEdges(); ++e) {
+    if (!CheckEdgeWeight(e, graph.Weight(e), options).ok()) {
+      found.edges.push_back(e);
+    }
+  }
+  if (options.check_substochastic) {
+    for (graph::NodeId v = 0; v < graph.NumNodes(); ++v) {
+      if (graph.OutWeightSum(v) > 1.0 + options.tolerance) {
+        found.nodes.push_back(v);
+      }
+    }
+  }
+  return found;
+}
+
+Status ValidateWeightUpdate(const graph::WeightedDigraph& before,
+                            const graph::WeightUpdate& update,
+                            const GraphValidatorOptions& options,
+                            const GraphViolations& baseline) {
+  KGOV_RETURN_IF_ERROR(options.Validate());
+  for (size_t i = 0; i < update.size(); ++i) {
+    if (update[i].edge >= before.NumEdges()) {
+      return Status::FailedPrecondition(
+          "update names edge " + std::to_string(update[i].edge) +
+          " of a graph with " + std::to_string(before.NumEdges()) + " edges");
+    }
+    if (i > 0 && update[i].edge <= update[i - 1].edge) {
+      return Status::FailedPrecondition(
+          "update entries are not sorted unique at edge " +
+          std::to_string(update[i].edge));
+    }
+  }
+  auto updated = [&](graph::EdgeId e) -> const graph::EdgeWeight* {
+    auto it = std::lower_bound(
+        update.begin(), update.end(), e,
+        [](const graph::EdgeWeight& a, graph::EdgeId id) {
+          return a.edge < id;
+        });
+    return it != update.end() && it->edge == e ? &*it : nullptr;
+  };
+
+  // The updated graph's first bad edge, in edge-id order, is either an
+  // updated edge or a baseline violation the update left in place.
+  Status first_bad;
+  graph::EdgeId first_bad_edge = graph::kInvalidEdge;
+  for (const graph::EdgeWeight& entry : update) {
+    first_bad = CheckEdgeWeight(entry.edge, entry.weight, options);
+    if (!first_bad.ok()) {
+      first_bad_edge = entry.edge;
+      break;
+    }
+  }
+  for (graph::EdgeId e : baseline.edges) {
+    if (e >= first_bad_edge) break;
+    if (updated(e) == nullptr) {
+      first_bad = CheckEdgeWeight(e, before.Weight(e), options);
+      KGOV_DCHECK(!first_bad.ok());
+      break;
+    }
+  }
+  KGOV_RETURN_IF_ERROR(first_bad);
+
+  if (options.check_substochastic) {
+    // Only the updated edges' source nodes can change their sums; each is
+    // summed in out-edge order, the float path of OutWeightSum.
+    std::vector<graph::NodeId> sources;
+    sources.reserve(update.size());
+    for (const graph::EdgeWeight& entry : update) {
+      sources.push_back(before.edge(entry.edge).from);
+    }
+    std::sort(sources.begin(), sources.end());
+    sources.erase(std::unique(sources.begin(), sources.end()),
+                  sources.end());
+    for (graph::NodeId node : sources) {
+      double sum = 0.0;
+      for (const graph::OutEdge& out : before.OutEdges(node)) {
+        const graph::EdgeWeight* entry = updated(out.edge);
+        sum += entry == nullptr ? before.Weight(out.edge) : entry->weight;
+      }
+      if (sum > 1.0 + options.tolerance) return SubStochasticViolation();
+    }
+    for (graph::NodeId node : baseline.nodes) {
+      if (!std::binary_search(sources.begin(), sources.end(), node)) {
+        return SubStochasticViolation();
+      }
+    }
   }
   return Status::OK();
 }

@@ -12,8 +12,12 @@
 //  * ValidateGraphUpdate - invariant checks run on an optimized graph
 //    before it replaces the serving graph: finite weights, weights in
 //    bounds, out-weight sub-stochasticity, and no edge-set drift. A
-//    violation means the update must be rolled back (see
-//    OnlineKgOptimizer::Flush).
+//    violation means the update must be rolled back.
+//
+//  * ValidateWeightUpdate - the same verdict for a weight-only update
+//    (graph::WeightUpdate), reading only the updated edges and their
+//    source nodes: what OnlineKgOptimizer's flush runs before it applies
+//    an update in place.
 //
 // Everything here is deterministic: the jitter stream is seeded, and a
 // fixed seed plus fixed attempt order replays identical restarts.
@@ -116,9 +120,34 @@ struct GraphValidatorOptions {
 
 /// Verifies that `after` is a legal weight-only update of `before`.
 /// Returns OK or FailedPrecondition naming the first violated invariant.
+/// O(|E|): the whole-graph reference that ValidateWeightUpdate matches.
 Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const graph::WeightedDigraph& after,
                            const GraphValidatorOptions& options = {});
+
+/// What a graph already violates of the validator's invariants, each list
+/// sorted: edges whose weight is non-finite or out of bounds, and (when
+/// check_substochastic) nodes whose out-weights sum past 1 + tolerance.
+struct GraphViolations {
+  std::vector<graph::EdgeId> edges;
+  std::vector<graph::NodeId> nodes;
+};
+
+/// Collects `graph`'s violations of `options` (assumed valid). O(|E|).
+GraphViolations FindViolations(const graph::WeightedDigraph& graph,
+                               const GraphValidatorOptions& options);
+
+/// The verdict ValidateGraphUpdate(before, after, options) would return,
+/// message included, where `after` is `before` with `update` applied and
+/// `baseline` is FindViolations(before, options). Reads only the updated
+/// edges, their source nodes and the baseline: O(|update| + the sources'
+/// out-degrees + |baseline|). An update that does not repair every
+/// baseline violation fails, as the whole-graph check does. Also fails an
+/// update whose entries are not sorted unique edge ids of `before`.
+Status ValidateWeightUpdate(const graph::WeightedDigraph& before,
+                            const graph::WeightUpdate& update,
+                            const GraphValidatorOptions& options,
+                            const GraphViolations& baseline);
 
 }  // namespace kgov::core
 

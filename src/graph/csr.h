@@ -14,6 +14,7 @@
 #define KGOV_GRAPH_CSR_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -22,6 +23,11 @@
 namespace kgov::graph {
 
 /// Frozen graph storage. Cheap to move, immutable after construction.
+///
+/// The topology arrays (row offsets, slot -> edge id, edge id -> slot) are
+/// held through a shared_ptr: a snapshot derived with WithUpdate shares
+/// them with its base and owns only its neighbour array. Copies share the
+/// topology too.
 class CsrSnapshot {
  public:
   /// A single out-neighbor entry (same layout the GraphView iterates).
@@ -35,21 +41,28 @@ class CsrSnapshot {
   /// out-edges.
   explicit CsrSnapshot(const WeightedDigraph& graph);
 
+  /// The snapshot of this snapshot's graph after `update` (sorted unique
+  /// edge ids, see graph::WeightUpdate): shares this snapshot's topology,
+  /// copies its neighbour array and patches the updated slots through the
+  /// edge -> slot index. Bit-identical to CsrSnapshot(graph) of the
+  /// updated graph, at the cost of one array copy plus O(|update|).
+  CsrSnapshot WithUpdate(const WeightUpdate& update) const;
+
   size_t NumNodes() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+    return topology_ == nullptr ? 0 : topology_->offsets.size() - 1;
   }
   size_t NumEdges() const { return neighbors_.size(); }
   bool IsValidNode(NodeId node) const { return node < NumNodes(); }
 
   /// Out-neighbors of `node` as a contiguous range.
   const Neighbor* begin(NodeId node) const {
-    return neighbors_.data() + offsets_[node];
+    return neighbors_.data() + topology_->offsets[node];
   }
   const Neighbor* end(NodeId node) const {
-    return neighbors_.data() + offsets_[node + 1];
+    return neighbors_.data() + topology_->offsets[node + 1];
   }
   size_t OutDegree(NodeId node) const {
-    return offsets_[node + 1] - offsets_[node];
+    return topology_->offsets[node + 1] - topology_->offsets[node];
   }
 
   /// Sum of outgoing weights of `node`.
@@ -58,18 +71,28 @@ class CsrSnapshot {
   /// The non-owning read view over this snapshot, including the edge-id
   /// table (view.HasEdgeIds() is true). Valid while the snapshot lives.
   GraphView View() const {
-    if (offsets_.empty()) return GraphView{};
-    return GraphView(NumNodes(), offsets_.data(), neighbors_.data(),
-                     edge_ids_.data());
+    if (topology_ == nullptr) return GraphView{};
+    return GraphView(NumNodes(), topology_->offsets.data(), neighbors_.data(),
+                     topology_->edge_ids.data());
   }
 
  private:
-  // offsets_[v]..offsets_[v+1] indexes neighbors_ for node v; has
-  // NumNodes()+1 entries (default-constructed snapshot: stays empty).
-  std::vector<size_t> offsets_;
+  // Weight-independent arrays, immutable once built and shared by every
+  // snapshot derived from the same graph topology.
+  struct Topology {
+    // offsets[v]..offsets[v+1] indexes the neighbour array for node v;
+    // NumNodes()+1 entries.
+    std::vector<size_t> offsets;
+    // Parallel to the neighbour array: the EdgeId each slot came from.
+    std::vector<EdgeId> edge_ids;
+    // Inverse of edge_ids: the slot of each EdgeId (an EdgeId-sized index,
+    // since a graph never has more slots than EdgeId values).
+    std::vector<EdgeId> slot_of_edge;
+  };
+
+  // Null for the default-constructed (empty) snapshot.
+  std::shared_ptr<const Topology> topology_;
   std::vector<Neighbor> neighbors_;
-  // Parallel to neighbors_: the WeightedDigraph EdgeId each slot came from.
-  std::vector<EdgeId> edge_ids_;
 };
 
 }  // namespace kgov::graph

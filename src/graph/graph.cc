@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/contracts.h"
 #include "common/logging.h"
@@ -52,6 +53,13 @@ void WeightedDigraph::SetWeight(EdgeId id, double weight) {
   edges_[id].weight = std::max(weight, 0.0);
 }
 
+void WeightedDigraph::ApplyWeightUpdate(const WeightUpdate& update) {
+  for (const EdgeWeight& entry : update) {
+    KGOV_DCHECK(entry.edge < edges_.size());
+    edges_[entry.edge].weight = entry.weight;
+  }
+}
+
 double WeightedDigraph::OutWeightSum(NodeId node) const {
   double sum = 0.0;
   for (const OutEdge& out : out_edges_[node]) {
@@ -96,6 +104,20 @@ void WeightedDigraph::SetNodeLabel(NodeId node, std::string label) {
 const std::string& WeightedDigraph::NodeLabel(NodeId node) const {
   if (node < labels_.size()) return labels_[node];
   return kEmptyLabel;
+}
+
+WeightUpdate DiffWeights(const WeightedDigraph& before,
+                         const WeightedDigraph& after) {
+  KGOV_CHECK(before.NumEdges() == after.NumEdges());
+  WeightUpdate diff;
+  for (EdgeId e = 0; e < before.NumEdges(); ++e) {
+    const double a = before.Weight(e);
+    const double b = after.Weight(e);
+    if (std::memcmp(&a, &b, sizeof(double)) != 0) {
+      diff.push_back(EdgeWeight{e, b});
+    }
+  }
+  return diff;
 }
 
 }  // namespace kgov::graph

@@ -39,6 +39,18 @@ struct OutEdge {
   EdgeId edge = kInvalidEdge;
 };
 
+/// One entry of a weight-only update: edge `edge` takes weight `weight`.
+struct EdgeWeight {
+  EdgeId edge = kInvalidEdge;
+  double weight = 0.0;
+};
+
+/// A weight-only graph update: entries sorted by ascending edge id, each
+/// edge at most once. The optimizer returns one (core::OptimizeReport);
+/// WeightedDigraph::ApplyWeightUpdate and CsrSnapshot::WithUpdate apply it
+/// without touching the rest of the graph.
+using WeightUpdate = std::vector<EdgeWeight>;
+
 /// Mutable weighted digraph with stable node and edge ids. Parallel edges
 /// are rejected; self-loops are allowed but unusual in knowledge graphs.
 ///
@@ -83,6 +95,10 @@ class WeightedDigraph {
   /// Overwrites the weight of `id`. Negative weights are clamped to 0.
   void SetWeight(EdgeId id, double weight);
 
+  /// Writes every weight of `update` verbatim (no clamping), so the graph
+  /// holds exactly the bits the update carries. O(|update|).
+  void ApplyWeightUpdate(const WeightUpdate& update);
+
   const std::vector<OutEdge>& OutEdges(NodeId node) const {
     return out_edges_[node];
   }
@@ -118,6 +134,12 @@ class WeightedDigraph {
   std::vector<Edge> edges_;
   std::vector<std::string> labels_;  // lazily sized; may be shorter than V
 };
+
+/// The bitwise weight difference of two graphs with identical topology:
+/// every edge whose weight bits differ, with its weight in `after`. Applying
+/// the result to `before` reproduces `after` exactly. O(|E|).
+WeightUpdate DiffWeights(const WeightedDigraph& before,
+                         const WeightedDigraph& after);
 
 }  // namespace kgov::graph
 

@@ -1,12 +1,12 @@
 #include "votes/judgment.h"
 
+#include <string>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include <string>
+#include "telemetry/metrics.h"
 
 namespace kgov::votes {
-
 
 Status JudgmentOptions::Validate() const {
   KGOV_RETURN_IF_ERROR(symbolic.Validate());
@@ -18,22 +18,15 @@ Status JudgmentOptions::Validate() const {
   return Status::OK();
 }
 
-namespace {
-
-std::shared_ptr<const graph::CsrSnapshot> SnapshotOf(
-    const graph::WeightedDigraph* graph) {
-  KGOV_CHECK(graph != nullptr);
-  return std::make_shared<graph::CsrSnapshot>(*graph);
-}
-
-}  // namespace
-
 JudgmentFilter::JudgmentFilter(const graph::WeightedDigraph* graph,
-                               JudgmentOptions options)
+                               graph::GraphView view, JudgmentOptions options)
     : graph_(graph),
       options_(std::move(options)),
-      snapshot_(SnapshotOf(graph)),
-      engine_(snapshot_->View(), options_.symbolic.eipd) {
+      engine_(view, options_.symbolic.eipd) {
+  KGOV_CHECK(graph_ != nullptr);
+  KGOV_CHECK(view.NumNodes() == graph_->NumNodes() &&
+             view.NumEdges() == graph_->NumEdges())
+      << "JudgmentFilter view does not match its graph";
   Status valid = options_.Validate();
   KGOV_CHECK(valid.ok()) << valid.ToString();
 }
@@ -81,6 +74,10 @@ bool JudgmentFilter::IsSatisfiable(const Vote& vote) const {
 
 std::vector<Vote> JudgmentFilter::FilterVotes(
     const std::vector<Vote>& votes) const {
+  static telemetry::Histogram* const filter_span =
+      telemetry::MetricRegistry::Global().GetHistogram(
+          "span.judgment.filter.seconds");
+  telemetry::ScopedSpan span(filter_span);
   std::vector<Vote> kept;
   kept.reserve(votes.size());
   for (const Vote& vote : votes) {

@@ -14,11 +14,10 @@
 #ifndef KGOV_VOTES_JUDGMENT_H_
 #define KGOV_VOTES_JUDGMENT_H_
 
-#include <memory>
 #include <vector>
 
-#include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "ppr/eipd_engine.h"
 #include "ppr/symbolic_eipd.h"
 #include "votes/vote.h"
@@ -40,11 +39,12 @@ struct JudgmentOptions {
 
 class JudgmentFilter {
  public:
-  /// `graph` is borrowed and must outlive the filter; its weights are
-  /// frozen into a CSR snapshot at construction (the filter evaluates the
-  /// extreme condition on the unified EipdEngine), so construct the filter
-  /// after the batch's graph state is final.
-  JudgmentFilter(const graph::WeightedDigraph* graph,
+  /// `graph` and `view` are borrowed and must outlive the filter. `view`
+  /// is a frozen CSR view of `graph` with edge ids and identical weights
+  /// (a graph::CsrSnapshot of it, or the serving epoch's view): the filter
+  /// collects walks on `graph` and evaluates the extreme condition on the
+  /// unified EipdEngine over `view`.
+  JudgmentFilter(const graph::WeightedDigraph* graph, graph::GraphView view,
                  JudgmentOptions options);
 
   /// True when the vote can in principle be satisfied (positive votes are
@@ -57,9 +57,6 @@ class JudgmentFilter {
  private:
   const graph::WeightedDigraph* graph_;
   JudgmentOptions options_;
-  // Frozen view of `graph_` for the numeric extreme-condition evaluation;
-  // declared before engine_ so the view it backs outlives the engine.
-  std::shared_ptr<const graph::CsrSnapshot> snapshot_;
   ppr::EipdEngine engine_;
 };
 

@@ -66,8 +66,9 @@ TEST_F(EndToEndTest, MultiVoteImprovesOmegaOnVotes) {
   Result<core::OptimizeReport> report =
       optimizer.MultiVoteSolve(env_.votes);
   ASSERT_TRUE(report.ok());
-  core::OmegaResult omega = core::EvaluateOmega(
-      report->optimized, env_.votes, options_.encoder.symbolic.eipd);
+  core::OmegaResult omega =
+      core::EvaluateOmega(core::OptimizedGraph(env_.deployed.graph, *report),
+                          env_.votes, options_.encoder.symbolic.eipd);
   EXPECT_GT(omega.average, 0.0);
 }
 
@@ -78,7 +79,8 @@ TEST_F(EndToEndTest, MultiVoteImprovesHeldOutMetrics) {
   Result<core::OptimizeReport> report =
       optimizer.MultiVoteSolve(env_.votes);
   ASSERT_TRUE(report.ok());
-  qa::RankingMetrics after = Evaluate(report->optimized);
+  qa::RankingMetrics after =
+      Evaluate(core::OptimizedGraph(env_.deployed.graph, *report));
 
   // The optimized graph should answer held-out questions at least as well
   // as the corrupted one (the paper's Table IV/V effect). MRR measures the
@@ -97,10 +99,12 @@ TEST_F(EndToEndTest, SplitMergeComparableToMultiVote) {
       optimizer.SplitMergeSolve(env_.votes);
   ASSERT_TRUE(multi.ok() && split.ok());
 
-  core::OmegaResult omega_multi = core::EvaluateOmega(
-      multi->optimized, env_.votes, options_.encoder.symbolic.eipd);
-  core::OmegaResult omega_split = core::EvaluateOmega(
-      split->optimized, env_.votes, options_.encoder.symbolic.eipd);
+  core::OmegaResult omega_multi =
+      core::EvaluateOmega(core::OptimizedGraph(env_.deployed.graph, *multi),
+                          env_.votes, options_.encoder.symbolic.eipd);
+  core::OmegaResult omega_split =
+      core::EvaluateOmega(core::OptimizedGraph(env_.deployed.graph, *split),
+                          env_.votes, options_.encoder.symbolic.eipd);
   // S-M should stay within a reasonable factor of the full batch solve
   // (the paper observes it is close or even better, Fig. 6 d-f).
   EXPECT_GT(omega_split.average, 0.0);

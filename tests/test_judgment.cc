@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/csr.h"
+
 namespace kgov::votes {
 namespace {
 
@@ -35,13 +37,15 @@ JudgmentOptions DefaultOptions() {
 
 TEST(JudgmentTest, PositiveVoteAlwaysSatisfiable) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   EXPECT_TRUE(filter.IsSatisfiable(MakeVote({3, 4}, 3)));
 }
 
 TEST(JudgmentTest, MalformedVoteRejected) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   Vote bad;
   EXPECT_FALSE(filter.IsSatisfiable(bad));
 }
@@ -50,7 +54,8 @@ TEST(JudgmentTest, SatisfiableNegativeVoteAccepted) {
   // Answer 4 has an exclusive edge (2->4) that the extreme condition can
   // raise to 1 while zeroing 1->3; the vote for 4 is satisfiable.
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   EXPECT_TRUE(filter.IsSatisfiable(MakeVote({3, 4}, 4)));
 }
 
@@ -60,7 +65,8 @@ TEST(JudgmentTest, UnreachableBestAnswerRejected) {
   WeightedDigraph g(5);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 3, 1.0).ok());
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   // Vote claims 4 (unreachable) is best over 3: no weighting can help.
   EXPECT_FALSE(filter.IsSatisfiable(MakeVote({3, 4}, 4)));
 }
@@ -73,7 +79,8 @@ TEST(JudgmentTest, SharedOnlyPathsDecidedByStructure) {
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 0.7).ok());  // rival answer 2
   ASSERT_TRUE(g.AddEdge(1, 3, 0.3).ok());  // best answer 3
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   EXPECT_TRUE(filter.IsSatisfiable(MakeVote({2, 3}, 3)));
 }
 
@@ -89,7 +96,8 @@ TEST(JudgmentTest, FixedEdgesCannotBeRaised) {
   options.is_variable = [](const WeightedDigraph&, graph::EdgeId) {
     return false;
   };
-  JudgmentFilter filter(&g, options);
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), options);
   EXPECT_FALSE(filter.IsSatisfiable(MakeVote({2, 3}, 3)));
 }
 
@@ -104,13 +112,15 @@ TEST(JudgmentTest, RankAboveComparatorUsed) {
   ASSERT_TRUE(g.AddEdge(1, 5, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(2, 6, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(3, 7, 1.0).ok());
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   EXPECT_TRUE(filter.IsSatisfiable(MakeVote({5, 6, 7}, 7)));
 }
 
 TEST(JudgmentTest, FilterVotesKeepsOrder) {
   WeightedDigraph g = MakeFixture();
-  JudgmentFilter filter(&g, DefaultOptions());
+  graph::CsrSnapshot csr(g);
+  JudgmentFilter filter(&g, csr.View(), DefaultOptions());
   Vote v1 = MakeVote({3, 4}, 4);
   v1.id = 1;
   Vote bad;  // malformed -> dropped

@@ -62,11 +62,12 @@ TEST(KgOptimizerTest, SingleVoteFlipsRanking) {
   ppr::EipdOptions eipd;
   eipd.max_length = 4;
   votes::Vote vote = MakeVote(4);
-  double s3 = Similarity(report->optimized, vote.query, 3, eipd);
-  double s4 = Similarity(report->optimized, vote.query, 4, eipd);
+  const WeightedDigraph optimized = OptimizedGraph(g, *report);
+  double s3 = Similarity(optimized, vote.query, 3, eipd);
+  double s4 = Similarity(optimized, vote.query, 4, eipd);
   EXPECT_GT(s4, s3);
 
-  OmegaResult omega = EvaluateOmega(report->optimized, {vote}, eipd);
+  OmegaResult omega = EvaluateOmega(optimized, {vote}, eipd);
   EXPECT_DOUBLE_EQ(omega.total, 1.0);
 }
 
@@ -78,9 +79,7 @@ TEST(KgOptimizerTest, SingleVoteIgnoresPositiveVotes) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->votes_encoded, 0u);
   // Graph unchanged.
-  for (graph::EdgeId e = 0; e < g.NumEdges(); ++e) {
-    EXPECT_DOUBLE_EQ(report->optimized.Weight(e), g.Weight(e));
-  }
+  EXPECT_TRUE(report->update.empty());
 }
 
 TEST(KgOptimizerTest, InputGraphNeverMutated) {
@@ -99,7 +98,7 @@ TEST(KgOptimizerTest, MultiVoteFlipsRanking) {
   KgOptimizer optimizer(&g, SmallOptions());
   Result<OptimizeReport> report = optimizer.MultiVoteSolve({MakeVote(4)});
   ASSERT_TRUE(report.ok());
-  OmegaResult omega = EvaluateOmega(report->optimized, {MakeVote(4)},
+  OmegaResult omega = EvaluateOmega(OptimizedGraph(g, *report), {MakeVote(4)},
                                     {.max_length = 4});
   EXPECT_DOUBLE_EQ(omega.total, 1.0);
   EXPECT_EQ(report->constraints_total, 1);
@@ -141,7 +140,7 @@ TEST(KgOptimizerTest, NormalizationKeepsGraphStochastic) {
   KgOptimizer optimizer(&g, SmallOptions());
   Result<OptimizeReport> report = optimizer.MultiVoteSolve({MakeVote(4)});
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
+  EXPECT_TRUE(OptimizedGraph(g, *report).IsSubStochastic(1e-9));
 }
 
 TEST(KgOptimizerTest, SingleVoteBestEffortSurvivesSolverFailure) {
@@ -158,10 +157,11 @@ TEST(KgOptimizerTest, SingleVoteBestEffortSurvivesSolverFailure) {
   // The injected failure returns the initial point, so nothing is
   // satisfied and the graph keeps its original weights.
   EXPECT_EQ(report->constraints_satisfied, 0);
-  for (graph::EdgeId e = 0; e < report->optimized.NumEdges(); ++e) {
-    EXPECT_TRUE(std::isfinite(report->optimized.Weight(e)));
+  const WeightedDigraph optimized = OptimizedGraph(g, *report);
+  for (graph::EdgeId e = 0; e < optimized.NumEdges(); ++e) {
+    EXPECT_TRUE(std::isfinite(optimized.Weight(e)));
   }
-  EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
+  EXPECT_TRUE(optimized.IsSubStochastic(1e-9));
 }
 
 TEST(KgOptimizerTest, SingleVoteBestEffortSurvivesNanGradients) {
@@ -172,10 +172,11 @@ TEST(KgOptimizerTest, SingleVoteBestEffortSurvivesNanGradients) {
   ScopedFault fault(FaultSite::kNanGradient, {.probability = 1.0});
   Result<OptimizeReport> report = optimizer.SingleVoteSolve({MakeVote(4)});
   ASSERT_TRUE(report.ok());
-  for (graph::EdgeId e = 0; e < report->optimized.NumEdges(); ++e) {
-    EXPECT_TRUE(std::isfinite(report->optimized.Weight(e)));
+  const WeightedDigraph optimized = OptimizedGraph(g, *report);
+  for (graph::EdgeId e = 0; e < optimized.NumEdges(); ++e) {
+    EXPECT_TRUE(std::isfinite(optimized.Weight(e)));
   }
-  EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
+  EXPECT_TRUE(optimized.IsSubStochastic(1e-9));
 }
 
 TEST(KgOptimizerTest, MultiVoteReportsSolveAttempts) {
@@ -231,8 +232,9 @@ TEST_F(StrategyIntegrationTest, MultiVoteImprovesOmega) {
   Result<OptimizeReport> report =
       optimizer.MultiVoteSolve(workload_.votes);
   ASSERT_TRUE(report.ok());
-  OmegaResult omega = EvaluateOmega(report->optimized, workload_.votes,
-                                    options_.encoder.symbolic.eipd);
+  OmegaResult omega =
+      EvaluateOmega(OptimizedGraph(workload_.graph, *report), workload_.votes,
+                    options_.encoder.symbolic.eipd);
   EXPECT_GT(omega.total, 0.0);
 }
 
@@ -242,8 +244,9 @@ TEST_F(StrategyIntegrationTest, SplitMergeImprovesOmega) {
       optimizer.SplitMergeSolve(workload_.votes);
   ASSERT_TRUE(report.ok());
   EXPECT_GE(report->num_clusters, 1u);
-  OmegaResult omega = EvaluateOmega(report->optimized, workload_.votes,
-                                    options_.encoder.symbolic.eipd);
+  OmegaResult omega =
+      EvaluateOmega(OptimizedGraph(workload_.graph, *report), workload_.votes,
+                    options_.encoder.symbolic.eipd);
   EXPECT_GT(omega.total, 0.0);
 }
 
@@ -260,11 +263,12 @@ TEST_F(StrategyIntegrationTest, DistributedMatchesSequentialSplitMerge) {
 
   // Cluster solves are deterministic, so both paths produce identical
   // optimized weights.
-  ASSERT_EQ(sequential->optimized.NumEdges(),
-            distributed->optimized.NumEdges());
-  for (graph::EdgeId e = 0; e < sequential->optimized.NumEdges(); ++e) {
-    EXPECT_NEAR(sequential->optimized.Weight(e),
-                distributed->optimized.Weight(e), 1e-12);
+  const WeightedDigraph seq = OptimizedGraph(workload_.graph, *sequential);
+  const WeightedDigraph dist =
+      OptimizedGraph(workload_.graph, *distributed);
+  ASSERT_EQ(seq.NumEdges(), dist.NumEdges());
+  for (graph::EdgeId e = 0; e < seq.NumEdges(); ++e) {
+    EXPECT_NEAR(seq.Weight(e), dist.Weight(e), 1e-12);
   }
   EXPECT_EQ(sequential->num_clusters, distributed->num_clusters);
 }
@@ -290,7 +294,7 @@ TEST_F(StrategyIntegrationTest, SingleVoteHandlesWorkload) {
       optimizer.SingleVoteSolve(workload_.votes);
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->votes_encoded, 0u);
-  EXPECT_TRUE(report->optimized.IsSubStochastic(1e-6));
+  EXPECT_TRUE(OptimizedGraph(workload_.graph, *report).IsSubStochastic(1e-6));
 }
 
 }  // namespace

@@ -160,7 +160,8 @@ TEST_P(RandomWorkloadProperty, OptimizedGraphStaysSubStochastic) {
   Result<core::OptimizeReport> report =
       optimizer.MultiVoteSolve(workload_.votes);
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->optimized.IsSubStochastic(1e-9));
+  EXPECT_TRUE(core::OptimizedGraph(workload_.graph, *report)
+                  .IsSubStochastic(1e-9));
 }
 
 // Duplicating every vote three times and aggregating is equivalent to the
@@ -189,9 +190,11 @@ TEST_P(RandomWorkloadProperty, AggregatedDuplicatesMatchExpandedSolve) {
   ASSERT_TRUE(expanded.ok() && compact.ok());
 
   core::OmegaResult omega_expanded = core::EvaluateOmega(
-      expanded->optimized, workload_.votes, options.encoder.symbolic.eipd);
+      core::OptimizedGraph(workload_.graph, *expanded), workload_.votes,
+      options.encoder.symbolic.eipd);
   core::OmegaResult omega_compact = core::EvaluateOmega(
-      compact->optimized, workload_.votes, options.encoder.symbolic.eipd);
+      core::OptimizedGraph(workload_.graph, *compact), workload_.votes,
+      options.encoder.symbolic.eipd);
   EXPECT_NEAR(omega_expanded.average, omega_compact.average, 1e-9);
 }
 
@@ -224,8 +227,10 @@ TEST_P(RandomWorkloadProperty, OptimizerDeterministic) {
   Result<core::OptimizeReport> a = optimizer.MultiVoteSolve(workload_.votes);
   Result<core::OptimizeReport> b = optimizer.MultiVoteSolve(workload_.votes);
   ASSERT_TRUE(a.ok() && b.ok());
-  for (graph::EdgeId e = 0; e < a->optimized.NumEdges(); ++e) {
-    EXPECT_DOUBLE_EQ(a->optimized.Weight(e), b->optimized.Weight(e));
+  const graph::WeightedDigraph ga = core::OptimizedGraph(workload_.graph, *a);
+  const graph::WeightedDigraph gb = core::OptimizedGraph(workload_.graph, *b);
+  for (graph::EdgeId e = 0; e < ga.NumEdges(); ++e) {
+    EXPECT_DOUBLE_EQ(ga.Weight(e), gb.Weight(e));
   }
 }
 

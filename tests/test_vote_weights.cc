@@ -84,8 +84,9 @@ TEST(VoteWeightTest, HeavierVoteWinsConflict) {
 
   ppr::EipdOptions eipd;
   eipd.max_length = 4;
-  double s3 = Similarity(report->optimized, conflict[0].query, 3, eipd);
-  double s4 = Similarity(report->optimized, conflict[0].query, 4, eipd);
+  const WeightedDigraph optimized = core::OptimizedGraph(g, *report);
+  double s3 = Similarity(optimized, conflict[0].query, 3, eipd);
+  double s4 = Similarity(optimized, conflict[0].query, 4, eipd);
   EXPECT_GT(s4, s3);
 }
 
@@ -105,8 +106,9 @@ TEST(VoteWeightTest, LighterVoteLosesConflict) {
 
   ppr::EipdOptions eipd;
   eipd.max_length = 4;
-  double s3 = Similarity(report->optimized, conflict[0].query, 3, eipd);
-  double s4 = Similarity(report->optimized, conflict[0].query, 4, eipd);
+  const WeightedDigraph optimized = core::OptimizedGraph(g, *report);
+  double s3 = Similarity(optimized, conflict[0].query, 3, eipd);
+  double s4 = Similarity(optimized, conflict[0].query, 4, eipd);
   EXPECT_GT(s3, s4);
 }
 
@@ -125,8 +127,9 @@ TEST(VoteWeightTest, WeightsWorkInDeviationFormulation) {
 
   ppr::EipdOptions eipd;
   eipd.max_length = 4;
-  EXPECT_GT(Similarity(report->optimized, conflict[0].query, 4, eipd),
-            Similarity(report->optimized, conflict[0].query, 3, eipd));
+  const WeightedDigraph optimized = core::OptimizedGraph(g, *report);
+  EXPECT_GT(Similarity(optimized, conflict[0].query, 4, eipd),
+            Similarity(optimized, conflict[0].query, 3, eipd));
 }
 
 TEST(VoteWeightTest, EqualWeightsMatchUnweightedBehaviour) {
@@ -141,9 +144,10 @@ TEST(VoteWeightTest, EqualWeightsMatchUnweightedBehaviour) {
   Result<core::OptimizeReport> unweighted =
       optimizer.MultiVoteSolve({plain});
   ASSERT_TRUE(weighted.ok() && unweighted.ok());
+  const WeightedDigraph gw = core::OptimizedGraph(g, *weighted);
+  const WeightedDigraph gu = core::OptimizedGraph(g, *unweighted);
   for (graph::EdgeId e = 0; e < g.NumEdges(); ++e) {
-    EXPECT_NEAR(weighted->optimized.Weight(e),
-                unweighted->optimized.Weight(e), 1e-12);
+    EXPECT_NEAR(gw.Weight(e), gu.Weight(e), 1e-12);
   }
 }
 

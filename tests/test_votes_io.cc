@@ -11,7 +11,10 @@ namespace {
 class VotesIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "kgov_votes_io_test.txt";
+    // One file per test: ctest -j runs this fixture's tests concurrently.
+    path_ = ::testing::TempDir() + "kgov_votes_io_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".txt";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

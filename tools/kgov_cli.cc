@@ -346,11 +346,11 @@ Status CmdOptimize(const Flags& flags) {
   KGOV_RETURN_IF_ERROR(report.status());
 
   qa::KnowledgeGraph optimized = kg;
-  optimized.graph = report->optimized;
+  optimized.graph = core::OptimizedGraph(kg.graph, *report);
   KGOV_RETURN_IF_ERROR(SaveKgGraph(optimized, out));
 
   core::OmegaResult omega = core::EvaluateOmega(
-      report->optimized, vote_set, options.encoder.symbolic.eipd);
+      optimized.graph, vote_set, options.encoder.symbolic.eipd);
   std::printf("strategy=%s votes=%zu encoded=%zu satisfied=%d/%d "
               "omega_avg=%.2f -> %s\n",
               strategy.c_str(), vote_set.size(), report->votes_encoded,
