@@ -72,9 +72,15 @@ Setup MakeSetup(size_t num_questions) {
   return s;
 }
 
+// Minimum timed window per sweep row. A row repeats its rounds until the
+// window reaches this, so a cache-on row (a few microseconds per query)
+// is timed over tens of thousands of queries, not a few milliseconds.
+constexpr double kMinRowSeconds = 0.25;
+
 struct SweepPoint {
   size_t threads = 0;
   bool cache = false;
+  size_t queries = 0;
   double wall_seconds = 0.0;
   double measured_qps = 0.0;
   double ideal_qps = 0.0;
@@ -82,8 +88,9 @@ struct SweepPoint {
 };
 
 /// One configuration: build an engine, warm up one round (untimed; fills
-/// the cache when enabled), then serve `rounds` full replays of the
-/// stream and report wall-clock throughput.
+/// the cache when enabled), then serve at least `rounds` full replays of
+/// the stream, and more until kMinRowSeconds have passed, and report
+/// wall-clock throughput.
 SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
                      size_t threads, bool cache, int rounds) {
   serve::QueryEngineOptions options;
@@ -108,13 +115,18 @@ SweepPoint RunConfig(const Setup& s, const core::OnlineKgOptimizer& online,
 
   serve_round();  // warm-up (and cache fill when enabled)
   Timer timer;
-  for (int r = 0; r < rounds; ++r) serve_round();
+  int served = 0;
+  while (served < rounds || timer.ElapsedSeconds() < kMinRowSeconds) {
+    serve_round();
+    ++served;
+  }
   SweepPoint point;
   point.threads = threads;
   point.cache = cache;
   point.wall_seconds = timer.ElapsedSeconds();
-  point.measured_qps = static_cast<double>(rounds * s.seeds.size()) /
-                       point.wall_seconds;
+  point.queries = static_cast<size_t>(served) * s.seeds.size();
+  point.measured_qps =
+      static_cast<double>(point.queries) / point.wall_seconds;
   serve::ShardedResultCache::Stats stats = engine.CacheStats();
   const uint64_t lookups = stats.hits + stats.misses;
   point.hit_rate =
@@ -280,23 +292,24 @@ void RunAndReport(bool smoke, const char* json_path,
   core::OnlineKgOptimizer online(s.kg.graph, online_options);
 
   const unsigned host_cores = std::thread::hardware_concurrency();
-  std::printf("graph: %zu nodes, %zu edges; %zu seeds x %d rounds; "
+  std::printf("graph: %zu nodes, %zu edges; %zu seeds x >= %d rounds "
+              "(>= %.2f s per row); "
               "top-20 over %zu answers; host_cores=%u%s\n",
               s.kg.graph.NumNodes(), s.kg.graph.NumEdges(),
-              s.seeds.size(), rounds, s.kg.answer_nodes.size(),
+              s.seeds.size(), rounds, kMinRowSeconds,
+              s.kg.answer_nodes.size(),
               host_cores, smoke ? " [smoke]" : "");
 
   const std::vector<size_t> thread_counts = {1, 2, 4};
   std::vector<SweepPoint> sweep;
   for (bool cache : {false, true}) {
-    double t1_wall = 0.0;
+    double t1_qps = 0.0;
     for (size_t threads : thread_counts) {
       SweepPoint point = RunConfig(s, online, threads, cache, rounds);
-      if (threads == 1) t1_wall = point.wall_seconds;
+      if (threads == 1) t1_qps = point.measured_qps;
       // Ideal work partition: the single-thread busy total for this cache
       // setting spread evenly over T workers.
-      point.ideal_qps = static_cast<double>(rounds * s.seeds.size()) /
-                        (t1_wall / static_cast<double>(threads));
+      point.ideal_qps = t1_qps * static_cast<double>(threads);
       sweep.push_back(point);
     }
   }
@@ -379,20 +392,22 @@ void RunAndReport(bool smoke, const char* json_path,
                "  \"host_cores\": %u,\n"
                "  \"nodes\": %zu,\n"
                "  \"edges\": %zu,\n"
-               "  \"queries_per_config\": %zu,\n"
+               "  \"min_queries_per_config\": %zu,\n"
+               "  \"min_seconds_per_config\": %.2f,\n"
                "  \"top_k\": 20,\n"
                "  \"max_length\": 5,\n"
                "  \"sweep\": [\n",
                smoke ? "true" : "false", host_cores,
                s.kg.graph.NumNodes(), s.kg.graph.NumEdges(),
-               static_cast<size_t>(rounds) * s.seeds.size());
+               static_cast<size_t>(rounds) * s.seeds.size(), kMinRowSeconds);
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
     std::fprintf(out,
-                 "    {\"threads\": %zu, \"cache\": %s, "
+                 "    {\"threads\": %zu, \"cache\": %s, \"queries\": %zu, "
                  "\"measured_qps\": %.2f, \"ideal_qps\": %.2f, "
                  "\"hit_rate\": %.4f}%s\n",
-                 p.threads, p.cache ? "true" : "false", p.measured_qps,
+                 p.threads, p.cache ? "true" : "false", p.queries,
+                 p.measured_qps,
                  p.ideal_qps, p.hit_rate,
                  i + 1 < sweep.size() ? "," : "");
   }

@@ -268,9 +268,8 @@ Result<OptimizeReport> KgOptimizer::SingleVoteSolve(
         report.weight_changes[edge] += delta;
       }
       program.variables.ApplyValues(solution.x, &current);
-      if (options_.normalize_after_update) {
-        NormalizeTouchedSources(round_changes, current, &current);
-      }
+      // Re-normalize the touched out-weights (Alg. 1 line 16).
+      NormalizeTouchedSources(round_changes, current, &current);
       if (!encoded_any) {
         report.constraints_total += solution.total_constraints;
         ++report.votes_encoded;
@@ -340,9 +339,7 @@ Result<OptimizeReport> KgOptimizer::MultiVoteSolve(
     optimized.SetWeight(program.variables.EdgeOf(static_cast<math::VarId>(v)),
                         solution.x[v]);
   }
-  if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
-  }
+  NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
   report.update = optimized.Update();
   report.constraints_total = solution.total_constraints;
   report.constraints_satisfied = solution.satisfied_constraints;
@@ -419,10 +416,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
   // verification: each verification builds a zero-copy induced sub-view
   // over it instead of materializing a per-cluster WeightedDigraph.
   std::unique_ptr<graph::CsrSnapshot> owned_snapshot;
-  const graph::GraphView parent_view =
-      options_.apply_judgment_filter || options_.verify_cluster_solutions
-          ? SolveView(&owned_snapshot)
-          : graph::GraphView{};
+  const graph::GraphView parent_view = SolveView(&owned_snapshot);
   std::vector<votes::Vote> filtered = Filter(votes, parent_view);
   report.votes_after_filter = filtered.size();
   if (filtered.empty()) {
@@ -454,7 +448,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
 
   // Solve one multi-vote SGP per cluster (clusters are independent by
   // construction, so they may run in parallel). A cluster whose solve
-  // fails after the retry chain is isolated: its votes are quarantined
+  // still fails after its retries is isolated: its votes are quarantined
   // into the report and the rest of the batch proceeds.
   timer.Restart();
   std::vector<cluster::ClusterDelta> deltas(num_clusters);
@@ -524,7 +518,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     // keeps the parent's EdgeIds, so the solver's keys apply directly).
     size_t verified = 0;
     size_t satisfied = 0;
-    if (options_.verify_cluster_solutions) {
+    {
       telemetry::ScopedSpan verify_span(metrics.verify_span);
       std::unordered_map<graph::EdgeId, double> overrides;
       overrides.reserve(program.variables.NumVariables());
@@ -598,9 +592,6 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
       }
     }
   }
-  if (!options_.quarantine_failed_clusters && !first_error.ok()) {
-    return first_error;
-  }
   if (report.failed_clusters.size() == num_clusters && num_clusters > 0) {
     // Nothing survived: surface the failure instead of a silent no-op.
     return first_error;
@@ -618,9 +609,7 @@ Result<OptimizeReport> KgOptimizer::SplitMergeImpl(
     optimized.SetWeight(edge, w);
   }
   report.weight_changes = std::move(merged);
-  if (options_.normalize_after_update) {
-    NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
-  }
+  NormalizeTouchedSources(report.weight_changes, *graph_, &optimized);
   report.update = optimized.Update();
   return report;
 }

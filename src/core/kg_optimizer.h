@@ -56,8 +56,6 @@ struct OptimizerOptions {
   bool apply_judgment_filter = true;
   /// Constant for shared edges in the judgment extreme condition.
   double judgment_shared_weight = 0.5;
-  /// Re-normalize out-weights after applying a solution (Alg. 1 line 16).
-  bool normalize_after_update = true;
   /// Single-vote refinement: the hard-constraint solution sits exactly on
   /// the feasibility boundary, and the subsequent normalization can cancel
   /// slack placed on out-degree-1 edges (whose relative weight is
@@ -69,21 +67,10 @@ struct OptimizerOptions {
   cluster::ApOptions ap;
   /// Conflict-resolution rule for SplitMergeSolve.
   cluster::MergeRule merge_rule = cluster::MergeRule::kWeightedSignExtreme;
-  /// Retry/fallback policy applied to every multi-vote SGP solve (batch
-  /// and per-cluster). max_attempts = 1 reproduces the non-resilient
+  /// Retry policy applied to every multi-vote SGP solve (batch and
+  /// per-cluster). max_attempts = 1 reproduces the non-resilient
   /// behaviour.
   RetryOptions retry;
-  /// Split-and-merge failure isolation: when a cluster's solve fails after
-  /// the full retry chain (or its task dies), skip the cluster and
-  /// quarantine its votes into the report instead of aborting the batch.
-  /// When false a cluster failure fails the whole solve.
-  bool quarantine_failed_clusters = true;
-  /// Split-and-merge: after each cluster solve, re-rank the cluster's
-  /// votes by EIPD on a zero-copy induced sub-view of the parent CSR (the
-  /// L-ball around the votes' seeds and answers) with the solved weights
-  /// applied as EdgeId-keyed overrides — no per-cluster WeightedDigraph is
-  /// materialized. Fills votes_verified / votes_satisfied in the report.
-  bool verify_cluster_solutions = true;
 
   /// Checks this struct and its nested option structs; returns
   /// InvalidArgument naming the first offending field. KgOptimizer captures
@@ -125,12 +112,15 @@ struct OptimizeReport {
   /// Total SGP solve attempts, counting retries (split-and-merge and
   /// multi-vote strategies).
   size_t solve_attempts = 0;
-  /// Split-and-merge with verify_cluster_solutions: votes re-ranked on
-  /// their cluster's sub-view under the solved weights, and how many of
-  /// them ranked their voted best answer first.
+  /// Split-and-merge: votes re-ranked by EIPD on their cluster's zero-copy
+  /// induced sub-view of the parent CSR (the L-ball around the votes'
+  /// seeds and answers) under the solved weights, and how many of them
+  /// ranked their voted best answer first.
   size_t votes_verified = 0;
   size_t votes_satisfied = 0;
-  /// Clusters skipped by failure isolation (split-and-merge strategies).
+  /// Clusters skipped by failure isolation (split-and-merge strategies): a
+  /// cluster whose solve still fails after every retry, or whose task
+  /// dies, is quarantined instead of failing the batch.
   std::vector<ClusterFailure> failed_clusters;
   /// The failed clusters' votes, untouched, so the caller can re-queue
   /// them (see OnlineKgOptimizer) or inspect them.

@@ -326,11 +326,11 @@ Result<FlushReport> OnlineKgOptimizer::FlushImpl(
     CorruptUpdate(&update);
   }
 
-  if (options_.validate_updates) {
+  {
     telemetry::ScopedSpan validate_span(metrics.validate_span);
     // What the current graph already violates, found once (O(|E|)) at the
-    // first validated flush rather than at construction or restart. Once
-    // a flush applies, the whole graph is valid and the list is empty.
+    // first flush rather than at construction or restart. Once a flush
+    // applies, the whole graph is valid and the list is empty.
     if (!baseline_violations_.has_value()) {
       baseline_violations_ = FindViolations(graph_, options_.validator);
     }

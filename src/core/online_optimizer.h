@@ -92,11 +92,9 @@ struct OnlineOptimizerOptions {
   int max_vote_attempts = 3;
   /// Dead-letter capacity; the oldest entries are evicted beyond this.
   size_t dead_letter_capacity = 4096;
-  /// Validate the optimizer's weight update before applying it, rolling
-  /// back on violation.
-  bool validate_updates = true;
-  /// Invariants checked by the pre-swap validator. The weight bounds are
-  /// widened to cover the encoder's configured bounds automatically.
+  /// Invariants every flush's weight update must keep before it applies;
+  /// a violating update is rolled back. The weight bounds are widened to
+  /// cover the encoder's configured bounds automatically.
   GraphValidatorOptions validator;
   /// Target cluster count of the streaming partition (stream.md): the
   /// granularity of dirty tracking, scoped re-solves, and selective cache
@@ -356,9 +354,9 @@ class OnlineKgOptimizer {
   Status last_flush_status_;
   size_t total_applied_ = 0;
   size_t rollback_count_ = 0;
-  // What graph_ violates of options_.validator, found at the first
-  // validated flush (not at construction, so neither start-up nor restart
-  // pays the O(|E|) scan) and emptied once a validated update applies.
+  // What graph_ violates of options_.validator, found at the first flush
+  // (not at construction, so neither start-up nor restart pays the O(|E|)
+  // scan) and emptied once an update applies.
   std::optional<GraphViolations> baseline_violations_;
 };
 

@@ -1,10 +1,8 @@
 #include "core/resilience.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/contracts.h"
@@ -14,32 +12,6 @@
 #include "telemetry/metrics.h"
 
 namespace kgov::core {
-
-
-Status RetryOptions::Validate() const {
-  if (max_attempts < 1) {
-    return Status::InvalidArgument(
-        "RetryOptions.max_attempts must be >= 1, got " +
-        std::to_string(max_attempts));
-  }
-  if (!(initial_backoff_seconds >= 0.0) ||
-      !std::isfinite(initial_backoff_seconds)) {
-    return Status::InvalidArgument(
-        "RetryOptions.initial_backoff_seconds must be finite and >= 0, "
-        "got " + std::to_string(initial_backoff_seconds));
-  }
-  if (!(backoff_multiplier >= 1.0) || !std::isfinite(backoff_multiplier)) {
-    return Status::InvalidArgument(
-        "RetryOptions.backoff_multiplier must be finite and >= 1, got " +
-        std::to_string(backoff_multiplier));
-  }
-  if (!(restart_jitter >= 0.0 && restart_jitter < 1.0)) {
-    return Status::InvalidArgument(
-        "RetryOptions.restart_jitter must be in [0, 1), got " +
-        std::to_string(restart_jitter));
-  }
-  return Status::OK();
-}
 
 Status GraphValidatorOptions::Validate() const {
   if (!std::isfinite(weight_lower_bound) ||
@@ -65,8 +37,14 @@ Status GraphValidatorOptions::Validate() const {
 
 namespace {
 
-// Retryable failures: transient (a different start point or formulation can
-// succeed). InvalidArgument/Internal are structural and retried never.
+// Restart perturbation, as a fraction of each variable's box width: retry
+// k starts from initial + kRestartJitter * U(-1, 1) * width, projected.
+constexpr double kRestartJitter = 0.05;
+// Seed of the deterministic jitter stream (mixed with the caller's salt).
+constexpr uint64_t kJitterSeed = 0x51F0'D2B4'9C3E'A871ull;
+
+// Retryable failures: transient (a different start point can succeed).
+// InvalidArgument/Internal are structural and retried never.
 bool IsRetryable(const Status& status) {
   switch (status.code()) {
     case StatusCode::kNotConverged:
@@ -88,12 +66,11 @@ bool BetterThan(const math::SgpSolution& a, const math::SgpSolution& b) {
   return a.objective < b.objective;
 }
 
-// Telemetry for the retry/fallback chain; pointers resolved once.
+// Telemetry for the retry loop; pointers resolved once.
 struct ResilienceMetrics {
   telemetry::Counter* solves;
   telemetry::Counter* attempts;
   telemetry::Counter* retries;
-  telemetry::Counter* fallback_switches;
   telemetry::Counter* deadline_hits;
   telemetry::Counter* recovered;
   telemetry::Counter* exhausted;
@@ -106,7 +83,6 @@ struct ResilienceMetrics {
           reg.GetCounter("resilience.solves"),
           reg.GetCounter("resilience.attempts"),
           reg.GetCounter("resilience.retries"),
-          reg.GetCounter("resilience.fallback_switches"),
           reg.GetCounter("resilience.deadline_hits"),
           reg.GetCounter("resilience.recovered"),
           reg.GetCounter("resilience.exhausted"),
@@ -118,46 +94,31 @@ struct ResilienceMetrics {
 
 }  // namespace
 
+ResilientSgpSolver::ResilientSgpSolver(math::SgpSolverOptions base,
+                                       RetryOptions retry)
+    : base_(std::move(base)), retry_(retry) {
+  KGOV_DCHECK(retry_.max_attempts >= 1);
+}
+
 ResilientSolveOutcome ResilientSgpSolver::Solve(
     const math::SgpProblem& problem, uint64_t seed_salt) const {
   const ResilienceMetrics& metrics = ResilienceMetrics::Get();
   metrics.solves->Increment();
   ResilientSolveOutcome outcome;
-  Status retry_valid = retry_.Validate();
-  if (!retry_valid.ok()) {
-    outcome.solution.status = retry_valid;
-    outcome.exhausted = true;
-    return outcome;
-  }
-  const int max_attempts = std::max(1, retry_.max_attempts);
-
-  // Effective fallback chain: base formulation first, then the configured
-  // chain minus duplicates of the base.
-  std::vector<math::SgpFormulation> chain = {base_.formulation};
-  for (math::SgpFormulation f : retry_.formulation_chain) {
-    if (f != base_.formulation) chain.push_back(f);
-  }
-
-  Rng jitter_rng(retry_.seed ^ (seed_salt * 0x9E3779B97F4A7C15ull));
-  const std::vector<double> original_initial = problem.initial();
+  const math::SgpSolver solver(base_);
+  Rng jitter_rng(kJitterSeed ^ (seed_salt * 0x9E3779B97F4A7C15ull));
+  const std::vector<double>& original_initial = problem.initial();
 
   bool have_best = false;
   math::SgpSolution best;
 
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    math::SgpSolverOptions options = base_;
-    options.formulation =
-        chain[std::min<size_t>(attempt, chain.size() - 1)];
-    if (retry_.attempt_deadline_seconds > 0.0) {
-      options.deadline_seconds = retry_.attempt_deadline_seconds;
-    }
-
+  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
     // Restart point: the original initial values on attempt 0, a jittered
-    // perturbation afterwards. The anchor (proximal target) stays pinned
-    // to the original weights either way.
-    math::SgpProblem restarted;  // only used when jitter applies
+    // perturbation of them afterwards. The anchor (proximal target) stays
+    // pinned to the original weights either way.
+    math::SgpProblem restarted;  // only used on retries
     const math::SgpProblem* to_solve = &problem;
-    if (attempt > 0 && retry_.restart_jitter > 0.0) {
+    if (attempt > 0) {
       restarted = problem;
       std::vector<double> x0 = original_initial;
       const math::BoxBounds& bounds = problem.bounds();
@@ -166,24 +127,16 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
         if (i < bounds.lower.size() && i < bounds.upper.size()) {
           width = bounds.upper[i] - bounds.lower[i];
         }
-        x0[i] += retry_.restart_jitter * jitter_rng.Uniform(-1.0, 1.0) *
-                 width;
+        x0[i] += kRestartJitter * jitter_rng.Uniform(-1.0, 1.0) * width;
       }
       restarted.SetInitial(std::move(x0));
       to_solve = &restarted;
     }
 
-    if (attempt > 0 && retry_.initial_backoff_seconds > 0.0) {
-      double backoff = retry_.initial_backoff_seconds *
-                       std::pow(retry_.backoff_multiplier, attempt - 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    }
-
     Timer timer;
-    math::SgpSolution solution = math::SgpSolver(options).Solve(*to_solve);
+    math::SgpSolution solution = solver.Solve(*to_solve);
     SolveAttempt record;
     record.attempt = attempt;
-    record.formulation = options.formulation;
     record.status = solution.status;
     record.seconds = timer.ElapsedSeconds();
     outcome.attempts.push_back(record);
@@ -191,9 +144,6 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
     metrics.attempts->Increment();
     metrics.attempt_span->Observe(record.seconds);
     if (attempt > 0) metrics.retries->Increment();
-    if (options.formulation != base_.formulation) {
-      metrics.fallback_switches->Increment();
-    }
     if (solution.status.IsDeadlineExceeded()) {
       metrics.deadline_hits->Increment();
     }
@@ -215,21 +165,12 @@ ResilientSolveOutcome ResilientSgpSolver::Solve(
       return outcome;
     }
     KGOV_LOG(DEBUG) << "SGP attempt " << attempt
-                    << " failed: " << solution.status
-                    << "; retrying with fallback";
+                    << " failed: " << solution.status << "; retrying";
   }
 
   outcome.exhausted = true;
   metrics.exhausted->Increment();
-  if (retry_.accept_best_effort) {
-    outcome.solution = std::move(best);
-  } else {
-    // Strict mode: report the failure against the untouched initial point.
-    outcome.solution.x = original_initial;
-    outcome.solution.status = best.status;
-    outcome.solution.total_constraints = best.total_constraints;
-    outcome.solution.satisfied_constraints = 0;
-  }
+  outcome.solution = std::move(best);
   return outcome;
 }
 
@@ -267,31 +208,28 @@ Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const graph::WeightedDigraph& after,
                            const GraphValidatorOptions& options) {
   KGOV_RETURN_IF_ERROR(options.Validate());
-  if (options.check_edge_drift) {
-    if (after.NumNodes() != before.NumNodes()) {
-      return Status::FailedPrecondition(
-          "node count drift: " + std::to_string(before.NumNodes()) + " -> " +
-          std::to_string(after.NumNodes()));
-    }
-    if (after.NumEdges() != before.NumEdges()) {
-      return Status::FailedPrecondition(
-          "edge count drift: " + std::to_string(before.NumEdges()) + " -> " +
-          std::to_string(after.NumEdges()));
-    }
-    for (graph::EdgeId e = 0; e < before.NumEdges(); ++e) {
-      const graph::Edge& eb = before.edge(e);
-      const graph::Edge& ea = after.edge(e);
-      if (eb.from != ea.from || eb.to != ea.to) {
-        return Status::FailedPrecondition("edge " + std::to_string(e) +
-                                          " endpoints drifted");
-      }
+  if (after.NumNodes() != before.NumNodes()) {
+    return Status::FailedPrecondition(
+        "node count drift: " + std::to_string(before.NumNodes()) + " -> " +
+        std::to_string(after.NumNodes()));
+  }
+  if (after.NumEdges() != before.NumEdges()) {
+    return Status::FailedPrecondition(
+        "edge count drift: " + std::to_string(before.NumEdges()) + " -> " +
+        std::to_string(after.NumEdges()));
+  }
+  for (graph::EdgeId e = 0; e < before.NumEdges(); ++e) {
+    const graph::Edge& eb = before.edge(e);
+    const graph::Edge& ea = after.edge(e);
+    if (eb.from != ea.from || eb.to != ea.to) {
+      return Status::FailedPrecondition("edge " + std::to_string(e) +
+                                        " endpoints drifted");
     }
   }
   for (graph::EdgeId e = 0; e < after.NumEdges(); ++e) {
     KGOV_RETURN_IF_ERROR(CheckEdgeWeight(e, after.Weight(e), options));
   }
-  if (options.check_substochastic &&
-      !after.IsSubStochastic(options.tolerance)) {
+  if (!after.IsSubStochastic(options.tolerance)) {
     return SubStochasticViolation();
   }
   return Status::OK();
@@ -305,11 +243,9 @@ GraphViolations FindViolations(const graph::WeightedDigraph& graph,
       found.edges.push_back(e);
     }
   }
-  if (options.check_substochastic) {
-    for (graph::NodeId v = 0; v < graph.NumNodes(); ++v) {
-      if (graph.OutWeightSum(v) > 1.0 + options.tolerance) {
-        found.nodes.push_back(v);
-      }
+  for (graph::NodeId v = 0; v < graph.NumNodes(); ++v) {
+    if (graph.OutWeightSum(v) > 1.0 + options.tolerance) {
+      found.nodes.push_back(v);
     }
   }
   return found;
@@ -362,29 +298,26 @@ Status ValidateWeightUpdate(const graph::WeightedDigraph& before,
   }
   KGOV_RETURN_IF_ERROR(first_bad);
 
-  if (options.check_substochastic) {
-    // Only the updated edges' source nodes can change their sums; each is
-    // summed in out-edge order, the float path of OutWeightSum.
-    std::vector<graph::NodeId> sources;
-    sources.reserve(update.size());
-    for (const graph::EdgeWeight& entry : update) {
-      sources.push_back(before.edge(entry.edge).from);
+  // Only the updated edges' source nodes can change their sums; each is
+  // summed in out-edge order, the float path of OutWeightSum.
+  std::vector<graph::NodeId> sources;
+  sources.reserve(update.size());
+  for (const graph::EdgeWeight& entry : update) {
+    sources.push_back(before.edge(entry.edge).from);
+  }
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  for (graph::NodeId node : sources) {
+    double sum = 0.0;
+    for (const graph::OutEdge& out : before.OutEdges(node)) {
+      const graph::EdgeWeight* entry = updated(out.edge);
+      sum += entry == nullptr ? before.Weight(out.edge) : entry->weight;
     }
-    std::sort(sources.begin(), sources.end());
-    sources.erase(std::unique(sources.begin(), sources.end()),
-                  sources.end());
-    for (graph::NodeId node : sources) {
-      double sum = 0.0;
-      for (const graph::OutEdge& out : before.OutEdges(node)) {
-        const graph::EdgeWeight* entry = updated(out.edge);
-        sum += entry == nullptr ? before.Weight(out.edge) : entry->weight;
-      }
-      if (sum > 1.0 + options.tolerance) return SubStochasticViolation();
-    }
-    for (graph::NodeId node : baseline.nodes) {
-      if (!std::binary_search(sources.begin(), sources.end(), node)) {
-        return SubStochasticViolation();
-      }
+    if (sum > 1.0 + options.tolerance) return SubStochasticViolation();
+  }
+  for (graph::NodeId node : baseline.nodes) {
+    if (!std::binary_search(sources.begin(), sources.end(), node)) {
+      return SubStochasticViolation();
     }
   }
   return Status::OK();

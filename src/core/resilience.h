@@ -1,13 +1,11 @@
 // Fault-tolerance building blocks for the optimization pipeline:
 //
-//  * ResilientSgpSolver - wraps SgpSolver with a retry/fallback policy:
-//    failed solves (NotConverged / NumericalError / DeadlineExceeded /
-//    Infeasible) are retried from jittered restart points with exponential
-//    backoff, walking a configurable formulation fallback chain
-//    (ReducedSigmoid -> DeviationVariables -> HardConstraints by default).
-//    Every attempt is recorded; the best finite point seen is returned
-//    even when every attempt failed, so callers can choose best-effort or
-//    strict behaviour.
+//  * ResilientSgpSolver - wraps SgpSolver with one retry policy: a failed
+//    solve (NotConverged / NumericalError / DeadlineExceeded / Infeasible)
+//    is retried with the same formulation, restarted from a jittered copy
+//    of the original initial point, up to max_attempts in total. Every
+//    attempt is recorded; the best finite point seen is returned even
+//    when every attempt failed.
 //
 //  * ValidateGraphUpdate - invariant checks run on an optimized graph
 //    before it replaces the serving graph: finite weights, weights in
@@ -33,42 +31,16 @@
 
 namespace kgov::core {
 
-/// Retry/fallback policy for one logical SGP solve.
+/// Retry policy for one logical SGP solve.
 struct RetryOptions {
-  /// Total attempts, including the first one. 1 disables retries.
+  /// Total attempts, including the first one. 1 disables retries. Checked
+  /// (>= 1) by OptimizerOptions::Validate.
   int max_attempts = 3;
-  /// Formulations tried after the base formulation fails; entries equal to
-  /// the base formulation are skipped. Attempts beyond the chain reuse its
-  /// last entry (with fresh jitter).
-  std::vector<math::SgpFormulation> formulation_chain = {
-      math::SgpFormulation::kReducedSigmoid,
-      math::SgpFormulation::kDeviationVariables,
-      math::SgpFormulation::kHardConstraints};
-  /// Wall budget per attempt; <= 0 keeps the base options' deadline.
-  double attempt_deadline_seconds = 0.0;
-  /// Backoff before retry k (1-based): initial * multiplier^(k-1). The
-  /// default 0 disables sleeping (retries are usually CPU-bound, not
-  /// contention-bound; deployments waiting on shared resources set this).
-  double initial_backoff_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  /// Restart perturbation, as a fraction of each variable's box width.
-  /// Retry k starts from initial + jitter * U(-1, 1) * width, projected.
-  double restart_jitter = 0.05;
-  /// Seed for the deterministic jitter/backoff stream.
-  uint64_t seed = 0x51F0'D2B4'9C3E'A871ull;
-  /// When every attempt fails, still return the best finite point seen
-  /// (with the failing status). When false the last attempt is returned.
-  bool accept_best_effort = true;
-
-  /// Checks every field range; returns InvalidArgument naming the first
-  /// offending field. ResilientSgpSolver::Solve fails fast with the result.
-  Status Validate() const;
 };
 
 /// What happened on one attempt.
 struct SolveAttempt {
   int attempt = 0;
-  math::SgpFormulation formulation = math::SgpFormulation::kReducedSigmoid;
   Status status;
   double seconds = 0.0;
 };
@@ -84,10 +56,8 @@ struct ResilientSolveOutcome {
 
 class ResilientSgpSolver {
  public:
-  ResilientSgpSolver(math::SgpSolverOptions base, RetryOptions retry)
-      : base_(std::move(base)), retry_(std::move(retry)) {}
-
-  const RetryOptions& retry_options() const { return retry_; }
+  /// `retry.max_attempts` must be >= 1.
+  ResilientSgpSolver(math::SgpSolverOptions base, RetryOptions retry);
 
   /// Solves with retries. `seed_salt` is mixed into the jitter seed so
   /// concurrent callers (e.g. per-cluster solves) draw independent but
@@ -101,16 +71,13 @@ class ResilientSgpSolver {
 };
 
 /// Invariants an optimized graph must satisfy before it may replace the
-/// serving graph.
+/// serving graph: every weight finite and inside the bounds, every node's
+/// out-weights summing to <= 1 + tolerance (the convergence condition for
+/// the random-walk similarity series), and exactly the input's node and
+/// edge sets (the optimizer only changes weights).
 struct GraphValidatorOptions {
   double weight_lower_bound = 0.0;
   double weight_upper_bound = 1.0;
-  /// Require every node's out-weights to sum to <= 1 + tolerance (the
-  /// convergence condition for the random-walk similarity series).
-  bool check_substochastic = true;
-  /// Require the optimized graph to have exactly the same node and edge
-  /// sets as the input (the optimizer only changes weights).
-  bool check_edge_drift = true;
   double tolerance = 1e-6;
 
   /// Checks every field range. ValidateGraphUpdate fails fast with the
@@ -126,8 +93,8 @@ Status ValidateGraphUpdate(const graph::WeightedDigraph& before,
                            const GraphValidatorOptions& options = {});
 
 /// What a graph already violates of the validator's invariants, each list
-/// sorted: edges whose weight is non-finite or out of bounds, and (when
-/// check_substochastic) nodes whose out-weights sum past 1 + tolerance.
+/// sorted: edges whose weight is non-finite or out of bounds, and nodes
+/// whose out-weights sum past 1 + tolerance.
 struct GraphViolations {
   std::vector<graph::EdgeId> edges;
   std::vector<graph::NodeId> nodes;

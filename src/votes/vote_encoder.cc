@@ -49,7 +49,6 @@ Result<EncodedProgram> VoteEncoder::EncodeSingle(const Vote& vote) const {
 
 ppr::SymbolicEipd::VariablePredicate VoteEncoder::EffectivePredicate()
     const {
-  if (!options_.skip_degree_one_sources) return options_.is_variable;
   ppr::SymbolicEipd::VariablePredicate base = options_.is_variable;
   return [base](const graph::WeightedDigraph& g, graph::EdgeId e) {
     if (g.OutDegree(g.edge(e).from) <= 1) return false;

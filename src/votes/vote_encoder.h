@@ -25,15 +25,14 @@ namespace kgov::votes {
 struct EncoderOptions {
   ppr::SymbolicEipdOptions symbolic;
   /// Decides which edges are optimization variables (null = all edges).
+  /// An edge that is its source node's only out-edge is never a variable,
+  /// whatever this says: its weight is normalization-invariant (Alg. 1's
+  /// NormalizeEdges rescales it straight back to 1), so letting the solver
+  /// spend slack on it would silently undo the optimization.
   ppr::SymbolicEipd::VariablePredicate is_variable;
   /// Box bounds for edge-weight variables (paper Eq. 2: 0 < xl <= x <= xu).
   double weight_lower_bound = 1e-4;
   double weight_upper_bound = 1.0;
-  /// Exclude edges that are their source node's only out-edge from the
-  /// variable set. Such a weight is normalization-invariant (Alg. 1's
-  /// NormalizeEdges rescales it straight back to 1), so letting the solver
-  /// spend slack on it silently undoes the optimization.
-  bool skip_degree_one_sources = true;
 
   /// Checks this struct and the nested SymbolicEipdOptions (positive box
   /// bounds with lower <= upper, per paper Eq. 2).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -197,16 +198,41 @@ TEST(FaultPipelineTest, NanClusterIsolatedInSplitMerge) {
   EXPECT_TRUE(optimized.IsSubStochastic(1e-9));
 }
 
-TEST(FaultPipelineTest, QuarantineDisabledFailsTheBatch) {
+// A cluster whose first solve fails is rescued by its retry (the same
+// formulation from a jittered restart): nothing is quarantined, and the
+// retried solve replays bit for bit.
+TEST(FaultPipelineTest, RetriedClusterSolveIsNotQuarantined) {
   WeightedDigraph g = MakeTwoComponentGraph();
   OptimizerOptions options = TwoClusterOptions();
-  options.quarantine_failed_clusters = false;
+  options.retry.max_attempts = 2;
   KgOptimizer optimizer(&g, options);
-  ScopedFault fault(FaultSite::kNanGradient,
-                    {.probability = 1.0, .max_fires = 1});
-  Result<OptimizeReport> report = optimizer.SplitMergeSolve(
-      {MakeComponentVote(0, 3, 4, 1), MakeComponentVote(5, 8, 9, 2)});
-  EXPECT_FALSE(report.ok());
+  auto run = [&optimizer]() {
+    ScopedFault fault(FaultSite::kSolveNonConvergence,
+                      {.probability = 1.0, .max_fires = 1});
+    return optimizer.SplitMergeSolve(
+        {MakeComponentVote(0, 3, 4, 1), MakeComponentVote(5, 8, 9, 2)});
+  };
+  Result<OptimizeReport> first = run();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->num_clusters, 2u);
+  EXPECT_TRUE(first->failed_clusters.empty());
+  EXPECT_TRUE(first->quarantined_votes.empty());
+  EXPECT_EQ(first->solve_attempts, 3u);
+  ASSERT_FALSE(first->update.empty());
+  for (const graph::EdgeWeight& entry : first->update) {
+    EXPECT_TRUE(std::isfinite(entry.weight)) << entry.edge;
+  }
+
+  Result<OptimizeReport> second = run();
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(second->update.size(), first->update.size());
+  for (size_t i = 0; i < first->update.size(); ++i) {
+    EXPECT_EQ(second->update[i].edge, first->update[i].edge);
+    EXPECT_EQ(std::memcmp(&second->update[i].weight,
+                          &first->update[i].weight, sizeof(double)),
+              0)
+        << first->update[i].edge;
+  }
 }
 
 TEST(FaultPipelineTest, TaskDeathQuarantinesItsCluster) {
@@ -301,24 +327,6 @@ TEST(FaultPipelineTest, CorruptedUpdateRollsBackServingSnapshot) {
   for (graph::EdgeId e = 0; e < online.graph().NumEdges(); ++e) {
     EXPECT_TRUE(std::isfinite(online.graph().Weight(e))) << e;
   }
-}
-
-TEST(FaultPipelineTest, ValidatorDisabledLetsCorruptionThrough) {
-  // Control for the rollback test: with validation off the poisoned weight
-  // reaches the graph, which is exactly what the validator prevents.
-  WeightedDigraph g = MakeTwoComponentGraph();
-  OnlineOptimizerOptions options;
-  options.batch_size = 10;
-  options.strategy = FlushStrategy::kMultiVote;
-  options.optimizer.encoder.symbolic.eipd.max_length = 4;
-  options.optimizer.apply_judgment_filter = false;
-  options.validate_updates = false;
-  OnlineKgOptimizer online(g, options);
-  ASSERT_TRUE(online.AddVote(MakeComponentVote(0, 3, 4, 1)).ok());
-  ScopedFault fault(FaultSite::kGraphCorruption,
-                    {.probability = 1.0, .max_fires = 1});
-  ASSERT_TRUE(online.Flush().ok());
-  EXPECT_TRUE(std::isnan(online.graph().Weight(0)));
 }
 
 }  // namespace

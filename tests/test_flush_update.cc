@@ -74,10 +74,8 @@ class ReferenceFlusher {
     if (corrupt && after.NumEdges() > 0) {
       after.SetWeight(0, std::numeric_limits<double>::quiet_NaN());
     }
-    if (options_.validate_updates) {
-      outcome.status = ValidateGraphUpdate(graph_, after, options_.validator);
-      if (!outcome.status.ok()) return outcome;
-    }
+    outcome.status = ValidateGraphUpdate(graph_, after, options_.validator);
+    if (!outcome.status.ok()) return outcome;
     std::vector<uint32_t> changed;
     for (graph::EdgeId e = 0; e < graph_.NumEdges(); ++e) {
       if (!SameBits(graph_.Weight(e), after.Weight(e))) {

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/fault_injection.h"
-#include "common/timer.h"
 #include "graph/graph.h"
 #include "math/sgp_problem.h"
 
@@ -40,28 +39,45 @@ TEST(ResilientSolverTest, FirstAttemptSuccessDoesNotRetry) {
   EXPECT_TRUE(outcome.attempts[0].status.ok());
 }
 
-TEST(ResilientSolverTest, FallbackChainWalksFormulations) {
-  // The first two solve attempts are forced to fail; the third succeeds on
-  // the real problem, two formulations down the fallback chain.
-  ScopedFault fault(FaultSite::kSolveNonConvergence,
-                    {.probability = 1.0, .max_fires = 2});
+TEST(ResilientSolverTest, RetriesKeepTheConfiguredFormulation) {
+  // The first two solve attempts are forced to fail; the third, a
+  // jittered restart of the same formulation, succeeds on the real
+  // problem.
+  {
+    ScopedFault fault(FaultSite::kSolveNonConvergence,
+                      {.probability = 1.0, .max_fires = 2});
+    RetryOptions retry;
+    retry.max_attempts = 3;
+    ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
+    ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
+    EXPECT_TRUE(outcome.solution.status.ok());
+    EXPECT_FALSE(outcome.exhausted);
+    ASSERT_EQ(outcome.attempts.size(), 3u);
+    EXPECT_TRUE(outcome.attempts[0].status.IsNotConverged());
+    EXPECT_TRUE(outcome.attempts[1].status.IsNotConverged());
+    EXPECT_TRUE(outcome.attempts[2].status.ok());
+    EXPECT_EQ(outcome.solution.satisfied_constraints, 1);
+  }
+  // Hard constraints that contradict each other stay infeasible on every
+  // restart: no retry switches to a penalty formulation that would
+  // report success.
+  SgpProblem conflicting = MakeSwapProblem();
+  Signomial reverse;
+  reverse.AddTerm(Monomial(1.0, {{0, 1.0}}));
+  reverse.AddTerm(Monomial(-1.0, {{1, 1.0}}));
+  conflicting.AddConstraint(reverse, "x0<=x1");
+  math::SgpSolverOptions hard;
+  hard.formulation = SgpFormulation::kHardConstraints;
   RetryOptions retry;
   retry.max_attempts = 3;
-  ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
-  EXPECT_TRUE(outcome.solution.status.ok());
-  EXPECT_FALSE(outcome.exhausted);
+  ResilientSolveOutcome outcome =
+      ResilientSgpSolver(hard, retry).Solve(conflicting);
+  EXPECT_TRUE(outcome.exhausted);
   ASSERT_EQ(outcome.attempts.size(), 3u);
-  EXPECT_EQ(outcome.attempts[0].formulation,
-            SgpFormulation::kReducedSigmoid);
-  EXPECT_EQ(outcome.attempts[1].formulation,
-            SgpFormulation::kDeviationVariables);
-  EXPECT_EQ(outcome.attempts[2].formulation,
-            SgpFormulation::kHardConstraints);
-  EXPECT_TRUE(outcome.attempts[0].status.IsNotConverged());
-  EXPECT_TRUE(outcome.attempts[1].status.IsNotConverged());
-  EXPECT_TRUE(outcome.attempts[2].status.ok());
-  EXPECT_EQ(outcome.solution.satisfied_constraints, 1);
+  for (const SolveAttempt& attempt : outcome.attempts) {
+    EXPECT_FALSE(attempt.status.ok()) << attempt.attempt;
+  }
+  EXPECT_FALSE(outcome.solution.status.ok());
 }
 
 TEST(ResilientSolverTest, ExhaustedStillReturnsFinitePoint) {
@@ -76,20 +92,6 @@ TEST(ResilientSolverTest, ExhaustedStillReturnsFinitePoint) {
   EXPECT_TRUE(outcome.solution.status.IsNotConverged());
   ASSERT_EQ(outcome.solution.x.size(), 2u);
   for (double v : outcome.solution.x) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(ResilientSolverTest, StrictModeReturnsUntouchedInitialOnExhaustion) {
-  ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
-  RetryOptions retry;
-  retry.max_attempts = 2;
-  retry.accept_best_effort = false;
-  ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  SgpProblem problem = MakeSwapProblem();
-  ResilientSolveOutcome outcome = solver.Solve(problem);
-  EXPECT_TRUE(outcome.exhausted);
-  EXPECT_EQ(outcome.solution.x, problem.initial());
-  EXPECT_EQ(outcome.solution.satisfied_constraints, 0);
-  EXPECT_FALSE(outcome.solution.status.ok());
 }
 
 TEST(ResilientSolverTest, NonRetryableErrorStopsImmediately) {
@@ -122,19 +124,6 @@ TEST(ResilientSolverTest, RetriesAreDeterministicUnderFixedSeed) {
   ASSERT_EQ(b.attempts.size(), 2u);
   EXPECT_EQ(a.solution.x, b.solution.x);  // bitwise-identical replay
   EXPECT_EQ(a.solution.status.code(), b.solution.status.code());
-}
-
-TEST(ResilientSolverTest, BackoffDelaysRetries) {
-  ScopedFault fault(FaultSite::kSolveNonConvergence, {.probability = 1.0});
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.initial_backoff_seconds = 0.01;
-  retry.backoff_multiplier = 1.0;
-  ResilientSgpSolver solver(math::SgpSolverOptions{}, retry);
-  Timer timer;
-  ResilientSolveOutcome outcome = solver.Solve(MakeSwapProblem());
-  EXPECT_TRUE(outcome.exhausted);
-  EXPECT_GE(timer.ElapsedSeconds(), 0.02);  // two backoff sleeps
 }
 
 // ---------------------------------------------------------------------------
@@ -177,12 +166,9 @@ TEST(GraphValidatorTest, RejectsBrokenNormalization) {
   graph::WeightedDigraph before = MakeGraph();
   graph::WeightedDigraph after = before;
   after.SetWeight(0, 0.9);  // node 0 out-weights now sum to 1.3
-  GraphValidatorOptions options;
-  Status status = ValidateGraphUpdate(before, after, options);
+  Status status = ValidateGraphUpdate(before, after);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("normalization"), std::string::npos);
-  options.check_substochastic = false;
-  EXPECT_TRUE(ValidateGraphUpdate(before, after, options).ok());
 }
 
 TEST(GraphValidatorTest, RejectsEdgeDrift) {

@@ -65,7 +65,7 @@ if [[ "${KGOV_SKIP_TSAN:-0}" != "1" ]]; then
       test_query_engine test_thread_pool test_online_optimizer \
       test_resilience test_durability test_stream test_stream_invalidation \
       test_single_flight test_admission test_eipd_sparse \
-      test_telemetry test_lock_rank test_sched_explorer
+      test_telemetry test_lock_rank test_sched_explorer test_fault_injection
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
       -R 'QueryEngine|ThreadPool|OnlineOptimizer|FaultPipeline|Durability|Stream|VoteIngestQueue|SingleFlight|Admission|Gauge|Sparse|KernelResolution|LockRank|SchedExplorer' \
